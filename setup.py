@@ -2,7 +2,10 @@
 
 The package works without the extension (a pure-Python kernel is selected
 at import time), so a missing compiler or Cython never breaks the install.
-Set COGCHESS_PURE=1 to skip the extension build entirely.
+With Cython the kernel is compiled from `_movegen.pyx`; without it, from
+the generated `_movegen.c` that ships in the source tree, so the build
+needs no download. Set COGCHESS_PURE=1 to skip the extension build
+entirely.
 """
 
 import os
@@ -16,7 +19,8 @@ def extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
+        return [Extension("cogchess._movegen", ["src/cogchess/_movegen.c"],
+                          optional=True)]
     return cythonize(
         [Extension("cogchess._movegen", ["src/cogchess/_movegen.pyx"])],
         compiler_directives={

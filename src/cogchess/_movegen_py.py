@@ -309,16 +309,29 @@ def _unmake(arr, stm, frm, to, promo, flags, undo):
             arr[56] = BR
 
 
+def _legal(arr, stm, castling, ep):
+    """Legal moves of the position in `arr`, in generation order.
+
+    The side's king is found once; a pseudo-move leaves it in place
+    unless the king itself moves (castling included), in which case it
+    stands on the move's target.
+    """
+    white = stm == 0
+    king = _king_square(arr, white)
+    out = []
+    for m in _pseudo_moves(arr, stm, castling, ep):
+        frm, to, promo, flags = m
+        undo = _make(arr, stm, frm, to, promo, flags)
+        k = to if frm == king else king
+        if k < 0 or not attacked(arr, k, not white):
+            out.append(m)
+        _unmake(arr, stm, frm, to, promo, flags, undo)
+    return out
+
+
 def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
-    arr = bytearray(sq)
-    white = stm == 0
-    out = []
-    for frm, to, promo, flags in _pseudo_moves(sq, stm, castling, ep):
-        undo = _make(arr, stm, frm, to, promo, flags)
-        if not in_check(arr, white):
-            out.append((frm, to, promo, flags))
-        _unmake(arr, stm, frm, to, promo, flags, undo)
+    out = _legal(bytearray(sq), stm, castling, ep)
     out.sort()
     return out
 
@@ -361,14 +374,7 @@ def perft(sq, stm, castling, ep, depth):
 
 
 def _perft_inner(arr, stm, castling, ep, depth):
-    white = stm == 0
-    moves = []
-    for m in _pseudo_moves(arr, stm, castling, ep):
-        undo = _make(arr, stm, m[0], m[1], m[2], m[3])
-        ok = not in_check(arr, white)
-        _unmake(arr, stm, m[0], m[1], m[2], m[3], undo)
-        if ok:
-            moves.append(m)
+    moves = _legal(arr, stm, castling, ep)
     if depth == 1:
         return len(moves)
     total = 0

@@ -294,11 +294,6 @@ def count_emotion_changes(stream: List[AUFrame], table: dict,
     return changes
 
 
-def emotion_timeline(stream: List[AUFrame], table: dict) -> List[Tuple[int, str]]:
-    """(t_ms, label) per frame; convenience for time-series exports."""
-    return [(f.t_ms, classify_emotion(f, table).label) for f in stream]
-
-
 def task_stats(session, table: dict) -> List[TaskStats]:
     """Per-task statistics over a segmented recording session.
 

@@ -142,9 +142,6 @@ class Move:
             s += _FEN_LETTER[self.promotion]
         return s
 
-    def sort_key(self):
-        return (self.from_sq.index, self.to_sq.index, _PROMO_CODE[self.promotion])
-
     def __str__(self) -> str:
         return self.uci
 

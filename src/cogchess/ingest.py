@@ -124,10 +124,11 @@ def _parse_record(line: str, session: RecordingSession) -> None:
     kv = _tokens(line)
     if "t_ms" not in kv:
         raise ValueError("missing t_ms")
+    raw_t = kv.pop("t_ms")
     try:
-        t_ms = int(kv.pop("t_ms"))
+        t_ms = int(raw_t)
     except ValueError:
-        raise ValueError(f"non-integer t_ms {kv.get('t_ms')!r}")
+        raise ValueError(f"non-integer t_ms {raw_t!r}")
     kind = kv.pop("kind", None)
     if kind is None:
         raise ValueError("missing kind")

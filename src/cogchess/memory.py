@@ -126,10 +126,6 @@ class WorkingMemory:
                 self.slots[weakest] = Entity(unit, unit, e)
         return replaced
 
-    @property
-    def min_activation(self) -> float:
-        return min((e.activation for e in self.slots), default=0.0)
-
 
 @dataclass(frozen=True)
 class EmotionTag:

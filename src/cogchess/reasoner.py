@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .board import Board, Color, GameStatus, Move
+from . import board as _board
+from .board import Board, Color, Move, _move_from_tuple, _move_to_tuple
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
     EmotionTag, LongTermMemory, Entity, WorkingMemory, situation_signature,
@@ -83,7 +84,6 @@ class PlayerProfile:
     arousal_weight: float = 1.0
     valence_weight: float = 1.0
     base_budget: int = 3000
-    rating: Optional[int] = None
 
     def __post_init__(self):
         if self.style not in ("defensive", "aggressive", "neutral"):
@@ -251,6 +251,12 @@ def effort_budget(tag: EmotionTag, profile: PlayerProfile) -> int:
 
 
 # -- investigation -------------------------------------------------------------
+#
+# The search and the validation run on the raw kernel state
+# (squares, stm, castling, ep, halfmove, fullmove) and on the kernel's
+# (frm, to, promo, flags) move tuples; Move objects are built only for the
+# returned line. The kernel is looked up on `cogchess.board` at call time,
+# so whatever that module selects (or wraps) is the one used.
 
 
 class _BudgetExhausted(Exception):
@@ -264,26 +270,26 @@ class InvestigationResult:
     exhausted: bool
 
 
-def _root_ordered(board: Board, preferred: set) -> list:
-    """Situation-proposed moves first, then the remaining legal moves;
-    checks, then captures, then quiet moves within each group."""
-    ordered = _mate_ordered(board)
-    first = [t for t in ordered if t[0].uci in preferred]
-    rest = [t for t in ordered if t[0].uci not in preferred]
-    return first + rest
+def _state(board: Board) -> tuple:
+    return (board._squares, board._stm, board.castling.mask, board._ep,
+            board.halfmove_clock, board.fullmove_number)
 
 
-def _mate_ordered(board: Board) -> list:
-    """Checks, then captures, then the rest; deterministic within class."""
-    scored = []
-    for m in board.legal_moves():
-        child = board.apply_move(m)
-        status = child.game_status()
-        checks = status in (GameStatus.CHECK, GameStatus.CHECKMATE)
-        rank = 0 if checks else (1 if "capture" in m.flags else 2)
-        scored.append((rank, m.sort_key(), m, child, status))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [(m, child, status) for _, _, m, child, status in scored]
+def _ordered(mg, state, moves) -> list:
+    """(move, child, gives_check) for each of `moves`: checks, then
+    captures, then the rest, in kernel order within each class."""
+    sq, stm, castling, ep, half, full = state
+    child_white = stm == 1
+    ranks = ([], [], [])
+    for m in moves:
+        child = mg.apply_move(sq, stm, castling, ep, half, full, *m)
+        check = mg.in_check(child[0], child_white)
+        ranks[0 if check else 2 - (m[3] & 1)].append((m, child, check))
+    return ranks[0] + ranks[1] + ranks[2]
+
+
+def _apply(mg, state, m) -> tuple:
+    return mg.apply_move(*state, *m)
 
 
 def investigate(board: Board, situation: SituationModel, n: int,
@@ -297,6 +303,8 @@ def investigate(board: Board, situation: SituationModel, n: int,
     """
     if n < 1 or budget < 1:
         raise ValueError("need n >= 1 and budget >= 1")
+    mg = _board._mg
+    preferred = {_move_to_tuple(m)[:3] for m in situation.moves}
     counter = {"nodes": 0}
 
     def spend():
@@ -304,28 +312,31 @@ def investigate(board: Board, situation: SituationModel, n: int,
         if counter["nodes"] > budget:
             raise _BudgetExhausted
 
-    def or_node(b: Board, movers_left: int, at_root: bool) -> Optional[list]:
+    def or_node(state, movers_left: int, at_root: bool) -> Optional[list]:
         spend()
+        ordered = _ordered(mg, state, mg.legal_moves(*state[:4]))
         if at_root:
-            ordered = _root_ordered(b, {m.uci for m in situation.moves})
-        else:
-            ordered = _mate_ordered(b)
-        for m, child, status in ordered:
-            if status is GameStatus.CHECKMATE:
-                return [m]
-            if movers_left == 1 or status is GameStatus.STALEMATE:
-                continue
-            reply_line = and_node(child, movers_left - 1)
-            if reply_line is not None:
-                return [m] + reply_line
+            ordered = ([t for t in ordered if t[0][:3] in preferred]
+                       + [t for t in ordered if t[0][:3] not in preferred])
+        for m, child, check in ordered:
+            if movers_left == 1 and not check:
+                continue  # the last mover move must mate, so must check
+            replies = mg.legal_moves(*child[:4])
+            if not replies:
+                if check:
+                    return [m]
+                continue  # stalemate
+            if movers_left > 1:
+                reply_line = and_node(child, replies, movers_left - 1)
+                if reply_line is not None:
+                    return [m] + reply_line
         return None
 
-    def and_node(b: Board, movers_left: int) -> Optional[list]:
+    def and_node(state, replies, movers_left: int) -> Optional[list]:
         spend()
-        replies = b.legal_moves()
         pv = None
         for reply in replies:
-            cont = or_node(b.apply_move(reply), movers_left, False)
+            cont = or_node(_apply(mg, state, reply), movers_left, False)
             if cont is None:
                 return None
             if pv is None:
@@ -333,28 +344,50 @@ def investigate(board: Board, situation: SituationModel, n: int,
         return pv
 
     try:
-        line = or_node(board, n, True)
+        line = or_node(_state(board), n, True)
     except _BudgetExhausted:
         return InvestigationResult(None, counter["nodes"], True)
+    if line is not None:
+        line = [_move_from_tuple(t) for t in line]
     return InvestigationResult(line, counter["nodes"], False)
 
 
 # -- validation ----------------------------------------------------------------
 
 
-def _prove_mate(board: Board, movers_left: int) -> bool:
-    """Full-width forced-mate proof, no budget, no situation pruning."""
+def _proves(mg, state, movers_left: int) -> bool:
+    """Full-width forced-mate proof on a raw state."""
     if movers_left < 1:
         return False
-    for m, child, status in _mate_ordered(board):
-        if status is GameStatus.CHECKMATE:
-            return True
-        if movers_left == 1 or status is GameStatus.STALEMATE:
+    for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
+        if movers_left == 1 and not check:
             continue
-        replies = child.legal_moves()
-        if all(_prove_mate(child.apply_move(r), movers_left - 1) for r in replies):
+        replies = mg.legal_moves(*child[:4])
+        if not replies:
+            if check:
+                return True
+            continue
+        if movers_left > 1 and all(
+                _proves(mg, _apply(mg, child, r), movers_left - 1) for r in replies):
             return True
     return False
+
+
+def _prove_mate(board: Board, movers_left: int) -> bool:
+    """Full-width forced-mate proof, no budget, no situation pruning."""
+    return _proves(_board._mg, _state(board), movers_left)
+
+
+def _uci(m) -> str:
+    return _move_from_tuple(m).uci
+
+
+def _find(mg, state, uci: str):
+    """The legal move of `state` spelled `uci`, or LineError."""
+    for m in mg.legal_moves(*state[:4]):
+        if _uci(m) == uci:
+            return m
+    raise LineError(f"illegal move {uci!r} in line")
 
 
 def validate_line(board: Board, line, n: int) -> bool:
@@ -367,48 +400,49 @@ def validate_line(board: Board, line, n: int) -> bool:
     if not line or len(line) > 2 * n - 1:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
     ucis = [m.uci if isinstance(m, Move) else str(m) for m in line]
-    b = board
+    mg = _board._mg
+    start = pos = _state(board)
     for u in ucis:
-        try:
-            mv = b.find_move(u)
-        except Exception as exc:
-            raise LineError(f"illegal move {u!r} in line") from exc
-        b = b.apply_move(mv)
+        pos = _apply(mg, pos, _find(mg, pos, u))
 
-    def follow(b: Board, script, movers_left: int) -> bool:
+    def follow(state, script, movers_left: int) -> bool:
         if movers_left < 1:
             return False
         if not script:
-            return _prove_mate(b, movers_left)
-        mv = b.find_move(script[0])
-        child = b.apply_move(mv)
-        status = child.game_status()
-        if status is GameStatus.CHECKMATE:
-            return True
-        if movers_left == 1 or status is GameStatus.STALEMATE:
+            return _proves(mg, state, movers_left)
+        child = _apply(mg, state, _find(mg, state, script[0]))
+        check = mg.in_check(child[0], child[1] == 0)
+        if movers_left == 1 and not check:
+            return False
+        replies = mg.legal_moves(*child[:4])
+        if not replies:
+            return check
+        if movers_left == 1:
             return False
         expected = script[1] if len(script) > 1 else None
-        for reply in child.legal_moves():
-            after = child.apply_move(reply)
-            if expected is not None and reply.uci == expected:
+        for reply in replies:
+            after = _apply(mg, child, reply)
+            if expected is not None and _uci(reply) == expected:
                 if not follow(after, script[2:], movers_left - 1):
                     return False
             else:
-                if not _prove_mate(after, movers_left - 1):
+                if not _proves(mg, after, movers_left - 1):
                     return False
         return True
 
-    return follow(board, ucis, n)
+    return follow(start, ucis, n)
 
 
 def forced_loss_in(board: Board, n: int) -> Optional[int]:
     """Smallest k <= n such that the opponent mates the mover in k of the
     opponent's own moves against any defense, or None."""
+    mg = _board._mg
+    state = _state(board)
+    moves = mg.legal_moves(*state[:4])
+    if not moves:
+        return None
     for k in range(1, n + 1):
-        moves = board.legal_moves()
-        if not moves:
-            return None
-        if all(_prove_mate(board.apply_move(m), k) for m in moves):
+        if all(_proves(mg, _apply(mg, state, m), k) for m in moves):
             return k
     return None
 

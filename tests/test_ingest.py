@@ -54,6 +54,13 @@ def test_bad_line_reported_with_number():
     assert len(session.au_stream) == 10
 
 
+def test_bad_t_ms_reported_with_its_text():
+    text = "format_version 1\nt_ms=abc kind=au au1=0.1\n" + \
+        "\n".join(f"t_ms={t} kind=au au1=0.1" for t in range(10))
+    session = parse_recording(text)
+    assert session.line_errors == [(2, "non-integer t_ms 'abc'")]
+
+
 def test_too_many_bad_lines_rejected():
     text = "format_version 1\n" + "\n".join(
         ["t_ms=abc kind=au au1=0.5"] * 3 + ["t_ms=5 kind=au au1=0.5"] * 3)
