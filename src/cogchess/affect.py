@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional, Tuple
@@ -29,6 +30,7 @@ EMOTION_LABELS = ("happiness", "sadness", "anger", "fear", "disgust",
 
 EMOTION_THRESHOLD = 0.2
 AROUSAL_WINDOW_MS = 60_000
+AGITATION_WINDOW_MS = 2_000
 TOUCH_DISTANCE_M = 0.15
 TOUCH_DEBOUNCE_MS = 200
 EMOTION_DWELL_MS = 500
@@ -85,10 +87,12 @@ class EmotionState:
 
 @dataclass
 class QualityReport:
-    """Counts of frames/bones skipped for missing or degenerate data."""
+    """Counts of data the analyzer skipped, dropped or repaired."""
 
-    skipped_frames: int = 0
-    degenerate_bones: int = 0
+    skipped_frames: int = 0  # partial skeleton frames
+    degenerate_bones: int = 0  # zero-length bones, once per frame pair
+    bad_lines: int = 0  # recording lines that failed to parse
+    out_of_order_streams: int = 0  # streams re-sorted on ingest
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,29 @@ def compute_arousal(stream: List[AUFrame], t_ms: int, table: dict) -> float:
     return sum(values) / len(values)
 
 
+def _windows(times: List[int], window_ms: int):
+    """(lo, hi) per time t: `times[lo:hi]` are the times in [t - W, t].
+
+    `times` must be sorted. The window runs to the last time equal to t,
+    so later samples that share t count too, as in a single-window query.
+    """
+    for t in times:
+        yield bisect_left(times, t - window_ms), bisect_right(times, t)
+
+
+def arousal_series(stream: List[AUFrame], table: dict) -> List[float]:
+    """`compute_arousal(stream, f.t_ms, table)` for every frame f.
+
+    `stream` must be sorted by time, as `parse_recording` leaves it.
+    Each frame's arousal-set mean is computed once.
+    """
+    values = [_set_mean(f, table["arousal"]) for f in stream]
+    # sum each slice left to right, as compute_arousal does: running
+    # sums would drift from it in the last bits
+    return [sum(values[lo:hi]) / (hi - lo) for lo, hi
+            in _windows([f.t_ms for f in stream], AROUSAL_WINDOW_MS)]
+
+
 def _segment_distance(p, a, b) -> float:
     """Distance from point p to segment ab in 3D."""
     ab = tuple(b[i] - a[i] for i in range(3))
@@ -216,6 +243,33 @@ def _angle_between(u, v) -> float:
     return math.acos(max(-1.0, min(1.0, cos)))
 
 
+def _pair_speed(prev: SkeletonFrame, cur: SkeletonFrame,
+                report: Optional[QualityReport] = None) -> Optional[float]:
+    """Summed per-bone angular speed (rad/s) from `prev` to `cur`.
+
+    None when the pair has no positive time step. A bone of zero length
+    in either frame drops out of the sum and is counted in the report.
+    """
+    dt_s = (cur.t_ms - prev.t_ms) / 1000.0
+    if dt_s <= 0:
+        return None
+    total = 0.0
+    for a, b in BONES:
+        u = tuple(prev.joints[b][i] - prev.joints[a][i] for i in range(3))
+        v = tuple(cur.joints[b][i] - cur.joints[a][i] for i in range(3))
+        try:
+            total += _angle_between(u, v) / dt_s
+        except ZeroDivisionError:
+            if report is not None:
+                report.degenerate_bones += 1
+    return total
+
+
+def _pair_speeds(frames: List[SkeletonFrame],
+                 report: Optional[QualityReport] = None) -> list:
+    return [_pair_speed(prev, cur, report) for prev, cur in zip(frames, frames[1:])]
+
+
 def compute_agitation(stream: List[SkeletonFrame],
                       window_ms: Optional[int] = None,
                       t_ms: Optional[int] = None,
@@ -232,24 +286,30 @@ def compute_agitation(stream: List[SkeletonFrame],
         frames = [f for f in frames if t_ms - window_ms <= f.t_ms <= t_ms]
     if len(frames) < 2:
         raise ValueError("agitation needs at least 2 frames in the window")
-    speeds = []
-    for prev, cur in zip(frames, frames[1:]):
-        dt_s = (cur.t_ms - prev.t_ms) / 1000.0
-        if dt_s <= 0:
-            continue
-        total = 0.0
-        for a, b in BONES:
-            u = tuple(prev.joints[b][i] - prev.joints[a][i] for i in range(3))
-            v = tuple(cur.joints[b][i] - cur.joints[a][i] for i in range(3))
-            try:
-                total += _angle_between(u, v) / dt_s
-            except ZeroDivisionError:
-                if report is not None:
-                    report.degenerate_bones += 1
-        speeds.append(total)
+    speeds = [s for s in _pair_speeds(frames, report) if s is not None]
     if not speeds:
         raise ValueError("no usable frame pairs in the window")
     return sum(speeds) / len(speeds)
+
+
+def agitation_series(usable_frames: List[SkeletonFrame],
+                     window_ms: int = AGITATION_WINDOW_MS,
+                     report: Optional[QualityReport] = None
+                     ) -> List[Optional[float]]:
+    """Agitation over [t - window_ms, t] at every frame's time t.
+
+    `usable_frames` must hold no partial frame and be sorted by time.
+    Each entry equals `compute_agitation` of its window, or is None when
+    the window has no frame pair with a positive time step. Each pair's
+    speed is computed once, so the report counts each degenerate bone
+    once per pair.
+    """
+    speeds = _pair_speeds(usable_frames, report)
+    out = []
+    for lo, hi in _windows([f.t_ms for f in usable_frames], window_ms):
+        window = [s for s in speeds[lo:hi - 1] if s is not None]
+        out.append(sum(window) / len(window) if window else None)
+    return out
 
 
 def compute_body_volume(frame: SkeletonFrame) -> float:
@@ -299,21 +359,26 @@ def task_stats(session, table: dict) -> List[TaskStats]:
 
     Requires `session.tasks()` to yield non-overlapping (task_id, t_start,
     t_end) intervals; raises ValueError on overlap. Each task slices the
-    streams to [t_start, t_end).
+    streams, sorted by time as `parse_recording` leaves them, to
+    [t_start, t_end).
     """
     from .ingest import segment_tasks  # late import to avoid a cycle
 
-    segments = segment_tasks(session)
+    def sliced(stream, times, t0, t1):
+        return stream[bisect_left(times, t0):bisect_left(times, t1)]
+
+    au_times = [f.t_ms for f in session.au_stream]
+    sk_times = [f.t_ms for f in session.skeleton_stream]
+    pupil_times = [t for t, _ in session.pupil_stream]
     out = []
-    for task_id, t0, t1 in segments:
-        au = [f for f in session.au_stream if t0 <= f.t_ms < t1]
-        sk = [f for f in session.skeleton_stream if t0 <= f.t_ms < t1]
+    for task_id, t0, t1 in segment_tasks(session):
+        au = sliced(session.au_stream, au_times, t0, t1)
+        sk = sliced(session.skeleton_stream, sk_times, t0, t1)
         touches = detect_self_touch_events(sk)
         changes = count_emotion_changes(au, table)
         valences = [compute_valence(f, table) for f in au]
         arousals = [_set_mean(f, table["arousal"]) for f in au]
-        pupil = [d for (t, d) in session.pupil_stream if t0 <= t < t1] \
-            if session.pupil_stream else []
+        pupil = [d for _, d in sliced(session.pupil_stream, pupil_times, t0, t1)]
         out.append(TaskStats(
             task_id=task_id,
             t_start_ms=t0,

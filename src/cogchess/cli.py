@@ -13,11 +13,15 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
-from .affect import load_au_table, task_stats, compute_arousal, compute_valence, \
-    compute_body_volume, compute_agitation, detect_self_touch_events, \
-    classify_emotion
+from .affect import QualityReport, agitation_series, arousal_series, \
+    classify_emotion, compute_body_volume, compute_valence, \
+    detect_self_touch_events, load_au_table, task_stats
+# The single-window queries stay importable from here: the benchmark's
+# layer spans look them up on this module by name.
+from .affect import compute_agitation, compute_arousal  # noqa: F401
 from .board import parse_fen
 from .chunks import load_catalog
 from .ingest import parse_recording
@@ -167,20 +171,16 @@ def run_analyze(args) -> int:
         return 1
 
     # compute everything before writing: no partial outputs on failure
-    au_rows = []
-    for f in session.au_stream:
-        au_rows.append((f.t_ms, compute_valence(f, table),
-                        compute_arousal(session.au_stream, f.t_ms, table),
-                        classify_emotion(f, table).label))
-    skeleton_rows = []
+    quality = QualityReport(bad_lines=len(session.line_errors),
+                            out_of_order_streams=len(session.resorted))
+    arousal = arousal_series(session.au_stream, table)
+    au_rows = [(f.t_ms, compute_valence(f, table), a, classify_emotion(f, table).label)
+               for f, a in zip(session.au_stream, arousal)]
     usable = [f for f in session.skeleton_stream if not f.partial]
-    for f in usable:
-        window = [g for g in usable if f.t_ms - 2000 <= g.t_ms <= f.t_ms]
-        agitation = None
-        if len(window) >= 2:
-            agitation = compute_agitation(window)
-        skeleton_rows.append((f.t_ms, compute_body_volume(f), agitation))
-    touches = detect_self_touch_events(session.skeleton_stream)
+    agitation = agitation_series(usable, report=quality)
+    skeleton_rows = [(f.t_ms, compute_body_volume(f), a)
+                     for f, a in zip(usable, agitation)]
+    touches = detect_self_touch_events(session.skeleton_stream, report=quality)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(STATS_COLUMNS)]
@@ -203,6 +203,12 @@ def run_analyze(args) -> int:
     lines += [f"{s}\t{e}" for s, e in touches]
     (out_dir / "touch_events.tsv").write_text("\n".join(lines) + "\n")
 
+    lines = ["measure\tcount"]
+    lines += [f"{q.name}\t{getattr(quality, q.name)}" for q in fields(quality)]
+    (out_dir / "quality.tsv").write_text("\n".join(lines) + "\n")
+
+    for lineno, message in session.line_errors:
+        print(f"warning: line {lineno}: {message}", file=sys.stderr)
     for w in session.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"{len(stats)} tasks, {len(touches)} self-touch events -> {out_dir}")

@@ -49,6 +49,7 @@ class RecordingSession:
     passthrough: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     line_errors: List[Tuple[int, str]] = field(default_factory=list)
+    resorted: List[str] = field(default_factory=list)  # streams sorted on ingest
 
     def __eq__(self, other):
         if not isinstance(other, RecordingSession):
@@ -104,8 +105,10 @@ def parse_recording(text: str) -> RecordingSession:
         records += 1
         try:
             _parse_record(line, session)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             session.line_errors.append((lineno, str(exc)))
+        except KeyError as exc:
+            session.line_errors.append((lineno, f"missing key {exc}"))
     if records and len(session.line_errors) / records > BAD_LINE_LIMIT:
         raise IngestError(
             "too-many-bad-lines",
@@ -116,6 +119,7 @@ def parse_recording(text: str) -> RecordingSession:
         keys = [f.t_ms if hasattr(f, "t_ms") else f[0] for f in stream]
         if keys != sorted(keys):
             stream.sort(key=lambda f: f.t_ms if hasattr(f, "t_ms") else f[0])
+            session.resorted.append(name)
             session.warnings.append(f"{name} records arrived out of order; sorted")
     return session
 

@@ -37,7 +37,6 @@ class Entity:
     """One working-memory slot: a reference to a piece or chunk instance."""
 
     id: str
-    referent: str
     activation: float
     base_activation: float = 0.0
 
@@ -94,7 +93,7 @@ class WorkingMemory:
                 survivors.append(e)
         self.slots = survivors
 
-    def spread_and_replace(self, ltm_units, links: dict) -> list:
+    def spread_and_replace(self, links: dict) -> list:
         """Spread activation into LTM units; strong units take over slots.
 
         `links` maps a WM entity id to {unit_id: weight} with weights
@@ -123,7 +122,7 @@ class WorkingMemory:
                           key=lambda i: (self.slots[i].activation, i))
             if e > self.slots[weakest].activation:
                 replaced.append(self.slots[weakest].id)
-                self.slots[weakest] = Entity(unit, unit, e)
+                self.slots[weakest] = Entity(unit, e)
         return replaced
 
 

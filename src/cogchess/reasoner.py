@@ -494,7 +494,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     accepted, rejected = [], []
     for e in sorted(pool, key=lambda e: (e.etype != "chunk", -cover[e.id], e.id)):
         activation = 0.5 + 0.5 * cover[e.id] / max_cover
-        if wm.insert(Entity(e.id, e.id, activation)):
+        if wm.insert(Entity(e.id, activation)):
             accepted.append(e.id)
         else:
             rejected.append(e.id)

@@ -129,7 +129,7 @@ def test_criterion_4_memory_safety():
     for step in range(100_000):
         op = rng.random()
         if op < 0.45:
-            wm.insert(Entity(f"e{step}", f"e{step}", rng.uniform(0.01, 1.0)))
+            wm.insert(Entity(f"e{step}", rng.uniform(0.01, 1.0)))
         elif op < 0.8:
             before = {e.id: e.activation for e in wm.slots}
             wm.tick(rng.randint(0, 2000))
@@ -140,7 +140,7 @@ def test_criterion_4_memory_safety():
                 src = rng.choice(wm.slots).id
                 fan = {f"u{rng.randint(0, 50)}": rng.uniform(0, 0.4)
                        for _ in range(rng.randint(1, 2))}
-                wm.spread_and_replace(None, fan)
+                wm.spread_and_replace(fan)
         if len(wm.slots) > wm.capacity:
             violations += 1
         if any(e.activation < 0 for e in wm.slots):

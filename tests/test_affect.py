@@ -1,14 +1,16 @@
 """Affect-signal computations on closed-form synthetic fixtures."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogchess.affect import (
-    AUFrame, QualityReport, SkeletonFrame, classify_emotion, compute_agitation,
-    compute_arousal, compute_body_volume, compute_valence,
+    AUFrame, QualityReport, SkeletonFrame, agitation_series, arousal_series,
+    classify_emotion, compute_agitation, compute_arousal, compute_body_volume,
+    compute_valence,
     count_emotion_changes, detect_self_touch_events, load_au_table,
 )
 from fixtures_affect import (
@@ -155,6 +157,60 @@ def test_agitation_linear_in_rate():
 def test_agitation_needs_two_frames():
     with pytest.raises(ValueError):
         compute_agitation([skeleton_frame(0)])
+
+
+def _random_times(rng, n, gap_ms):
+    """Sorted times with duplicates and a few gaps longer than `gap_ms`.
+
+    Steps are multiples of 50 ms, so window edges often fall on a frame.
+    """
+    times, t = [], rng.choice((0, 5))
+    for _ in range(n):
+        times.append(t)
+        t += rng.choices((0, 50, 100, 250, 1000, gap_ms + 500),
+                         weights=(2, 6, 6, 4, 2, 1))[0]
+    return times
+
+
+def _random_skeleton(rng, t_ms):
+    joints = skeleton_frame(t_ms, offset=tuple(rng.uniform(-0.1, 0.1)
+                                               for _ in range(3))).joints
+    joints = {name: tuple(c + rng.uniform(-0.05, 0.05) for c in xyz)
+              for name, xyz in joints.items()}
+    if rng.random() < 0.1:
+        joints["left_elbow"] = joints["left_shoulder"]  # degenerate bone
+    if rng.random() < 0.05:
+        joints["right_wrist"] = joints["right_elbow"]
+    return SkeletonFrame(t_ms, joints)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arousal_series_equals_single_window_queries(seed):
+    rng = random.Random(seed)
+    stream = [AUFrame(t, {au: rng.random() for au in (1, 2, 4, 5, 9, 20, 26)
+                          if rng.random() < 0.8})
+              for t in _random_times(rng, 400, 60_000)]
+    want = [compute_arousal(stream, f.t_ms, TABLE) for f in stream]
+    assert arousal_series(stream, TABLE) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_agitation_series_equals_single_window_queries(seed):
+    rng = random.Random(seed)
+    frames = [_random_skeleton(rng, t) for t in _random_times(rng, 300, 2000)]
+
+    def query(f):
+        window = [g for g in frames if f.t_ms - 2000 <= g.t_ms <= f.t_ms]
+        try:
+            return compute_agitation(window)
+        except ValueError:  # < 2 frames, or no pair with dt > 0
+            return None
+
+    report = QualityReport()
+    assert agitation_series(frames, report=report) == [query(f) for f in frames]
+    whole = QualityReport()
+    compute_agitation(frames, report=whole)
+    assert report.degenerate_bones == whole.degenerate_bones > 0
 
 
 def test_body_volume_unit_box():

@@ -8,7 +8,8 @@ import pytest
 from cli_child import run_cli
 from cogchess.cli import main
 from cogchess.ingest import serialize_recording, RecordingSession
-from fixtures_affect import emotion_change_stream, touch_stream
+from fixtures_affect import emotion_change_stream, skeleton_frame, touch_stream
+from genrecording import BAD_LINES, PLANTED, make_recording
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,8 +141,42 @@ def test_analyze_identical_bytes(recording_file, tmp_path):
     assert main(["analyze", "--recording", str(recording_file), "--out", str(a)]) == 0
     assert main(["analyze", "--recording", str(recording_file), "--out", str(b)]) == 0
     for rel in ["task_stats.tsv", "au_series.tsv", "skeleton_series.tsv",
-                "touch_events.tsv"]:
+                "touch_events.tsv", "quality.tsv"]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+def test_analyze_duplicate_first_skeleton_timestamps(tmp_path):
+    """Two complete frames at t=0 leave no pair with dt > 0 in the first
+    windows: those rows get an empty agitation cell instead of a crash."""
+    session = RecordingSession()
+    session.skeleton_stream = [skeleton_frame(0), skeleton_frame(0),
+                               skeleton_frame(50)]
+    rec = tmp_path / "dup.rec"
+    rec.write_text(serialize_recording(session))
+    out = tmp_path / "dup"
+    assert main(["analyze", "--recording", str(rec), "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in
+            (out / "skeleton_series.tsv").read_text().splitlines()[1:]]
+    assert [(r[0], r[2]) for r in rows] == [("0", ""), ("0", ""), ("50", "0.000000")]
+
+
+def test_analyze_quality_report(tmp_path, capsys):
+    text = make_recording(7)
+    rec = tmp_path / "planted.rec"
+    rec.write_text(text)
+    out = tmp_path / "q"
+    assert main(["analyze", "--recording", str(rec), "--out", str(out)]) == 0
+    lines = (out / "quality.tsv").read_text().splitlines()
+    assert lines[0] == "measure\tcount"
+    assert dict(line.split("\t") for line in lines[1:]) == \
+        {name: str(count) for name, count in PLANTED.items()}
+    err = capsys.readouterr().err
+    linenos = [i for i, line in enumerate(text.splitlines(), start=1)
+               if line in BAD_LINES]
+    assert len(linenos) == len(BAD_LINES)
+    for lineno in linenos:
+        assert f"warning: line {lineno}: " in err
+    assert "warning: au_stream records arrived out of order; sorted" in err
 
 
 def test_trace_pretty_print(puzzle_file, tmp_path, capsys):

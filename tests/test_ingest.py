@@ -61,6 +61,21 @@ def test_bad_t_ms_reported_with_its_text():
     assert session.line_errors == [(2, "non-integer t_ms 'abc'")]
 
 
+def test_missing_payload_key_named():
+    text = "format_version 1\nt_ms=5 kind=pupil\n" + \
+        "\n".join(f"t_ms={t} kind=au au1=0.1" for t in range(10))
+    session = parse_recording(text)
+    assert session.line_errors == [(2, "missing key 'diameter_mm'")]
+
+
+def test_out_of_order_streams_listed():
+    text = "format_version 1\nt_ms=9 kind=pupil diameter_mm=3\n" \
+        "t_ms=3 kind=pupil diameter_mm=3\nt_ms=1 kind=au au1=0.1\n"
+    session = parse_recording(text)
+    assert session.resorted == ["pupil_stream"]
+    assert [t for t, _ in session.pupil_stream] == [3, 9]
+
+
 def test_too_many_bad_lines_rejected():
     text = "format_version 1\n" + "\n".join(
         ["t_ms=abc kind=au au1=0.5"] * 3 + ["t_ms=5 kind=au au1=0.5"] * 3)

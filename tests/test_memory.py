@@ -15,7 +15,7 @@ from cogchess.memory import (
 
 
 def ent(name, activation):
-    return Entity(name, name, activation)
+    return Entity(name, activation)
 
 
 def test_insert_below_capacity():
@@ -94,7 +94,7 @@ def test_decay_monotone():
 def test_spread_empty_links_is_noop():
     wm = WorkingMemory()
     wm.insert(ent("a", 1.0))
-    assert wm.spread_and_replace(None, {}) == []
+    assert wm.spread_and_replace({}) == []
     assert [e.id for e in wm.slots] == ["a"]
 
 
@@ -102,7 +102,7 @@ def test_spread_strong_unit_replaces_weakest():
     wm = WorkingMemory(capacity=4)
     wm.insert(ent("src", 1.0))
     wm.insert(ent("weak", 0.5))
-    replaced = wm.spread_and_replace(None, {"src": {"ltm:pattern": 0.9}})
+    replaced = wm.spread_and_replace({"src": {"ltm:pattern": 0.9}})
     assert replaced == ["weak"]
     assert any(e.id == "ltm:pattern" and abs(e.activation - 0.9) < 1e-12
                for e in wm.slots)
@@ -113,7 +113,7 @@ def test_spread_fanout_dilution_blocks_replacement():
     wm.insert(ent("src", 1.0))
     wm.insert(ent("weak", 0.5))
     links = {"src": {f"u{i}": 0.1 for i in range(10)}}
-    assert wm.spread_and_replace(None, links) == []
+    assert wm.spread_and_replace(links) == []
     assert {e.id for e in wm.slots} == {"src", "weak"}
 
 
@@ -121,7 +121,7 @@ def test_spread_rejects_overweight_links():
     wm = WorkingMemory()
     wm.insert(ent("src", 1.0))
     with pytest.raises(ValueError):
-        wm.spread_and_replace(None, {"src": {"a": 0.7, "b": 0.7}})
+        wm.spread_and_replace({"src": {"a": 0.7, "b": 0.7}})
 
 
 def test_capacity_never_exceeded_under_fuzz():
@@ -137,7 +137,7 @@ def test_capacity_never_exceeded_under_fuzz():
             targets = {f"u{rng.randint(0, 30)}": rng.uniform(0, 0.5) for _ in range(2)}
             srcs = [e.id for e in wm.slots]
             if srcs:
-                wm.spread_and_replace(None, {rng.choice(srcs): targets})
+                wm.spread_and_replace({rng.choice(srcs): targets})
         assert len(wm.slots) <= 5
         assert all(e.activation >= 0 for e in wm.slots)
 
