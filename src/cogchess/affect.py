@@ -159,21 +159,30 @@ def compute_arousal(stream: List[AUFrame], t_ms: int, table: dict) -> float:
     return sum(values) / len(values)
 
 
-def _windows(times: List[int], window_ms: int):
+def _sorted_times(times: List[int]) -> List[int]:
+    """`times` itself; ValueError if a time is less than the one before."""
+    if any(a > b for a, b in zip(times, times[1:])):
+        raise ValueError("stream not sorted by t_ms")
+    return times
+
+
+def _windows(times: List[int], window_ms: int) -> List[Tuple[int, int]]:
     """(lo, hi) per time t: `times[lo:hi]` are the times in [t - W, t].
 
-    `times` must be sorted. The window runs to the last time equal to t,
-    so later samples that share t count too, as in a single-window query.
+    `times` must be sorted (ValueError otherwise). The window runs to the
+    last time equal to t, so later samples that share t count too, as in
+    a single-window query.
     """
-    for t in times:
-        yield bisect_left(times, t - window_ms), bisect_right(times, t)
+    _sorted_times(times)
+    return [(bisect_left(times, t - window_ms), bisect_right(times, t))
+            for t in times]
 
 
 def arousal_series(stream: List[AUFrame], table: dict) -> List[float]:
     """`compute_arousal(stream, f.t_ms, table)` for every frame f.
 
-    `stream` must be sorted by time, as `parse_recording` leaves it.
-    Each frame's arousal-set mean is computed once.
+    `stream` must be sorted by time, as `parse_recording` leaves it
+    (ValueError otherwise). Each frame's arousal-set mean is computed once.
     """
     values = [_set_mean(f, table["arousal"]) for f in stream]
     # sum each slice left to right, as compute_arousal does: running
@@ -293,12 +302,12 @@ def compute_agitation(stream: List[SkeletonFrame],
 
 
 def agitation_series(usable_frames: List[SkeletonFrame],
-                     window_ms: int = AGITATION_WINDOW_MS,
                      report: Optional[QualityReport] = None
                      ) -> List[Optional[float]]:
-    """Agitation over [t - window_ms, t] at every frame's time t.
+    """Agitation over [t - 2 s, t] at every frame's time t.
 
-    `usable_frames` must hold no partial frame and be sorted by time.
+    `usable_frames` must hold no partial frame and be sorted by time
+    (ValueError otherwise).
     Each entry equals `compute_agitation` of its window, or is None when
     the window has no frame pair with a positive time step. Each pair's
     speed is computed once, so the report counts each degenerate bone
@@ -306,7 +315,7 @@ def agitation_series(usable_frames: List[SkeletonFrame],
     """
     speeds = _pair_speeds(usable_frames, report)
     out = []
-    for lo, hi in _windows([f.t_ms for f in usable_frames], window_ms):
+    for lo, hi in _windows([f.t_ms for f in usable_frames], AGITATION_WINDOW_MS):
         window = [s for s in speeds[lo:hi - 1] if s is not None]
         out.append(sum(window) / len(window) if window else None)
     return out
@@ -359,17 +368,17 @@ def task_stats(session, table: dict) -> List[TaskStats]:
 
     Requires `session.tasks()` to yield non-overlapping (task_id, t_start,
     t_end) intervals; raises ValueError on overlap. Each task slices the
-    streams, sorted by time as `parse_recording` leaves them, to
-    [t_start, t_end).
+    streams to [t_start, t_end); they must be sorted by time, as
+    `parse_recording` leaves them (ValueError otherwise).
     """
     from .ingest import segment_tasks  # late import to avoid a cycle
 
     def sliced(stream, times, t0, t1):
         return stream[bisect_left(times, t0):bisect_left(times, t1)]
 
-    au_times = [f.t_ms for f in session.au_stream]
-    sk_times = [f.t_ms for f in session.skeleton_stream]
-    pupil_times = [t for t, _ in session.pupil_stream]
+    au_times = _sorted_times([f.t_ms for f in session.au_stream])
+    sk_times = _sorted_times([f.t_ms for f in session.skeleton_stream])
+    pupil_times = _sorted_times([t for t, _ in session.pupil_stream])
     out = []
     for task_id, t0, t1 in segment_tasks(session):
         au = sliced(session.au_stream, au_times, t0, t1)

@@ -213,6 +213,15 @@ def test_agitation_series_equals_single_window_queries(seed):
     assert report.degenerate_bones == whole.degenerate_bones > 0
 
 
+def test_series_reject_unsorted_streams():
+    au = [AUFrame(100, {}), AUFrame(0, {})]
+    with pytest.raises(ValueError, match="not sorted"):
+        arousal_series(au, TABLE)
+    skeleton = [skeleton_frame(100), skeleton_frame(0)]
+    with pytest.raises(ValueError, match="not sorted"):
+        agitation_series(skeleton)
+
+
 def test_body_volume_unit_box():
     frame = SkeletonFrame(0, {"a": (0.0, 0.0, 0.0), "b": (1.0, 2.0, 0.5)})
     assert compute_body_volume(frame) == pytest.approx(1.0)

@@ -192,6 +192,16 @@ def test_task_stats_basic():
     assert s.mean_pupil_mm is None
 
 
+@pytest.mark.parametrize("stream", ["au_stream", "skeleton_stream", "pupil_stream"])
+def test_task_stats_rejects_unsorted_stream(stream):
+    session, end = _session_with_tasks()
+    session.pupil_stream = [(0, 3.0), (100, 3.1)]
+    items = getattr(session, stream)
+    items[0], items[1] = items[1], items[0]
+    with pytest.raises(ValueError, match="not sorted"):
+        task_stats(session, TABLE)
+
+
 def test_task_stats_hand_computed_means():
     # four 2 s runs at 0.9 intensity: neutral, happiness, neutral, surprise
     session = RecordingSession()
