@@ -205,16 +205,15 @@ def _segment_distance(p, a, b) -> float:
 
 
 def detect_self_touch_events(stream: List[SkeletonFrame],
-                             threshold: float = TOUCH_DISTANCE_M,
-                             debounce_ms: int = TOUCH_DEBOUNCE_MS,
                              report: Optional[QualityReport] = None
                              ) -> List[Tuple[int, int]]:
     """Merged (start_ms, end_ms) intervals where a hand touches the head.
 
-    A frame is touching when the head lies within `threshold` meters of
-    either wrist-elbow segment. Consecutive touching frames merge into one
-    event; events shorter than `debounce_ms` are dropped. Frames missing
-    required joints are skipped and counted in the report.
+    A frame is touching when the head lies within `TOUCH_DISTANCE_M`
+    meters of either wrist-elbow segment. Consecutive touching frames
+    merge into one event; events shorter than `TOUCH_DEBOUNCE_MS` are
+    dropped. Frames missing required joints are skipped and counted in
+    the report.
     """
     events = []
     current_start = None
@@ -227,9 +226,9 @@ def detect_self_touch_events(stream: List[SkeletonFrame],
         head = f.joints["head"]
         touching = (
             _segment_distance(head, f.joints["left_elbow"], f.joints["left_wrist"])
-            < threshold
+            < TOUCH_DISTANCE_M
             or _segment_distance(head, f.joints["right_elbow"], f.joints["right_wrist"])
-            < threshold)
+            < TOUCH_DISTANCE_M)
         if touching:
             if current_start is None:
                 current_start = f.t_ms
@@ -240,7 +239,7 @@ def detect_self_touch_events(stream: List[SkeletonFrame],
                 current_start = None
     if current_start is not None:
         events.append((current_start, last_touch_t))
-    return [(s, e) for s, e in events if e - s >= debounce_ms]
+    return [(s, e) for s, e in events if e - s >= TOUCH_DEBOUNCE_MS]
 
 
 def _angle_between(u, v) -> float:
@@ -280,19 +279,12 @@ def _pair_speeds(frames: List[SkeletonFrame],
 
 
 def compute_agitation(stream: List[SkeletonFrame],
-                      window_ms: Optional[int] = None,
-                      t_ms: Optional[int] = None,
                       report: Optional[QualityReport] = None) -> float:
-    """Mean summed per-bone angular speed (rad/s) over the window.
+    """Mean summed per-bone angular speed (rad/s) over the window `stream`.
 
-    The window trails from `t_ms` (default: last frame); `window_ms` None
-    means the whole stream. Needs at least 2 usable frames in the window.
+    Needs at least 2 usable frames in the window.
     """
     frames = [f for f in stream if not f.partial]
-    if t_ms is None and frames:
-        t_ms = frames[-1].t_ms
-    if window_ms is not None:
-        frames = [f for f in frames if t_ms - window_ms <= f.t_ms <= t_ms]
     if len(frames) < 2:
         raise ValueError("agitation needs at least 2 frames in the window")
     speeds = [s for s in _pair_speeds(frames, report) if s is not None]
@@ -345,15 +337,14 @@ def _runs(stream: List[AUFrame], table: dict) -> List[Tuple[str, int, int]]:
     return runs
 
 
-def count_emotion_changes(stream: List[AUFrame], table: dict,
-                          dwell_ms: int = EMOTION_DWELL_MS) -> int:
+def count_emotion_changes(stream: List[AUFrame], table: dict) -> int:
     """Transitions between distinct emotion labels that each persist.
 
-    Runs shorter than `dwell_ms` (first to last frame) are discarded
+    Runs shorter than `EMOTION_DWELL_MS` (first to last frame) are discarded
     before counting, so micro-expressions do not count as principal
     changes.
     """
-    surviving = [r for r in _runs(stream, table) if r[2] - r[1] >= dwell_ms]
+    surviving = [r for r in _runs(stream, table) if r[2] - r[1] >= EMOTION_DWELL_MS]
     changes = 0
     prev = None
     for label, _, _ in surviving:

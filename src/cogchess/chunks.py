@@ -62,7 +62,6 @@ class ChunkPattern:
     color_role: str  # own / enemy / either
     piece_slots: Tuple[SlotSpec, ...] = ()
     relation_constraints: Tuple[tuple, ...] = ()
-    min_pieces: int = 2
     builtin: bool = False
 
 
@@ -82,9 +81,9 @@ class ChunkInstance:
 
 def _builtin_patterns() -> list:
     return [
-        ChunkPattern("battery", "either", min_pieces=2, builtin=True),
-        ChunkPattern("trapped-king", "either", min_pieces=2, builtin=True),
-        ChunkPattern("wall-of-pawns", "either", min_pieces=3, builtin=True),
+        ChunkPattern("battery", "either", builtin=True),
+        ChunkPattern("trapped-king", "either", builtin=True),
+        ChunkPattern("wall-of-pawns", "either", builtin=True),
     ]
 
 
@@ -167,11 +166,13 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
                                    f"constraint references undeclared slot {ref!r}")
         constraints.append(tuple(c))
 
+    # a match fills every slot, so `min_pieces` cannot change one; it is
+    # still checked, as every other field of the document is
     min_pieces = enc.get("min_pieces", len(slots))
     if not isinstance(min_pieces, int) or min_pieces < 2 or min_pieces > len(slots):
         raise CatalogError(name, "min_pieces",
                            f"must be an integer in 2..{len(slots)}")
-    return ChunkPattern(name, role, tuple(slots), tuple(constraints), min_pieces)
+    return ChunkPattern(name, role, tuple(slots), tuple(constraints))
 
 
 def recognize_chunks(board: Board, catalog) -> list:

@@ -26,7 +26,8 @@ from .board import parse_fen
 from .chunks import load_catalog
 from .ingest import parse_recording
 from .memory import LongTermMemory, WorkingMemory
-from .reasoner import PROFILES, PlayerProfile, SolveLimits, solve
+from .reasoner import PROFILES, PlayerProfile, SolveLimits, \
+    check_entity_cap, solve
 
 VERDICT_COLUMNS = ("id", "verdict", "line", "nodes", "situations")
 STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
@@ -76,16 +77,11 @@ def _load_puzzles(path: Path):
 
 def _solve_one(payload):
     """Solve a single puzzle; top-level so --jobs can pickle it."""
-    (puzzle, profile_name, base_budget, wm_capacity, entity_cap, seed,
-     max_nodes, ltm_text, catalog_text) = payload
+    puzzle, profile, limits, seed, ltm_text, catalog_text = payload
     board = parse_fen(puzzle["fen"])
-    profile = PlayerProfile(profile_name, base_budget=base_budget)
     ltm = LongTermMemory.load(ltm_text) if ltm_text else LongTermMemory()
     catalog = load_catalog(catalog_text) if catalog_text else load_catalog()
-    limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
-                         wm_capacity=wm_capacity)
-    result = solve(board, puzzle["mate_in"], profile,
-                   wm=WorkingMemory(capacity=wm_capacity), ltm=ltm,
+    result = solve(board, puzzle["mate_in"], profile, ltm=ltm,
                    catalog=catalog, limits=limits, seed=seed,
                    puzzle_id=puzzle["id"])
     row = (puzzle["id"], result.verdict, " ".join(result.line),
@@ -113,6 +109,15 @@ def run_solve(args) -> int:
     max_nodes = int(_merged(args, config, "max_nodes", 50_000))
     base_budget = int(_merged(args, config, "base_budget", 3000))
     jobs = int(_merged(args, config, "jobs", 1))
+    try:  # the checks each solve would make, before any solve starts
+        player = PlayerProfile(profile, base_budget=base_budget)
+        WorkingMemory(capacity=wm_capacity)
+        check_entity_cap(entity_cap)
+    except ValueError as exc:
+        print(f"invalid solve option: {exc}", file=sys.stderr)
+        return 2
+    limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
+                         wm_capacity=wm_capacity)
 
     try:
         puzzles = _load_puzzles(puzzles_path)
@@ -122,8 +127,8 @@ def run_solve(args) -> int:
     ltm_text = Path(args.ltm).read_text() if args.ltm else None
     catalog_text = Path(args.catalog).read_text() if args.catalog else None
 
-    payloads = [(p, profile, base_budget, wm_capacity, entity_cap, int(seed),
-                 max_nodes, ltm_text, catalog_text) for p in puzzles]
+    payloads = [(p, player, limits, int(seed), ltm_text, catalog_text)
+                for p in puzzles]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_solve_one, payloads))

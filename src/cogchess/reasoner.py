@@ -2,12 +2,13 @@
 
 Orientation recognizes chunks and relations and loads entities into
 working memory. Exploration enumerates candidate situation models (at
-most 4 entities each), scores them with the emotion tags recalled from
-long-term memory, and ranks them. Investigation runs a budgeted AND-OR
-search whose root move ordering prefers moves proposed by the chosen
-situation. Validation replays a claimed mating line full-width, with no
-pruning and no budget, so a solved verdict is always exact; every
-investigated situation feeds a reward back into long-term memory.
+most 4 entities each) from what orientation perceived, scores them with
+the emotion tags recalled from long-term memory, and ranks them.
+Investigation runs a budgeted AND-OR search whose root move ordering
+prefers moves proposed by the chosen situation. Validation replays a
+claimed mating line full-width, with no pruning and no budget, so a
+solved verdict is always exact; every investigated situation feeds a
+reward back into long-term memory.
 
 Trace timestamps use a simulated clock (1 ms per searched node plus small
 fixed phase costs), never wall time, so runs are reproducible byte for
@@ -19,11 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import board as _board
-from .board import Board, Color, Move, _move_from_tuple, _move_to_tuple
+from .board import Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
     EmotionTag, LongTermMemory, Entity, WorkingMemory, situation_signature,
@@ -67,7 +68,6 @@ class SituationModel:
     relations: tuple
     moves: tuple
     piece_info: dict = field(compare=False, hash=False, default_factory=dict)
-    emotion: EmotionTag = EmotionTag()
 
     def __post_init__(self):
         if not 1 <= len(self.entities) <= ENTITY_CAP:
@@ -138,9 +138,7 @@ class SolveLimits:
     max_total_nodes: int = 50_000
     max_situations: int = 16
     entity_cap: int = ENTITY_CAP
-    max_candidates: int = MAX_CANDIDATES
     wm_capacity: int = 7
-    reward_scale: float = 1.0
     survival_check: bool = False
 
 
@@ -167,28 +165,40 @@ def _chunk_entity(chunk: ChunkInstance) -> SituationEntity:
                            chunk.members)
 
 
-def enumerate_situations(board: Board, chunks, cap: int = ENTITY_CAP,
-                         max_candidates: int = MAX_CANDIDATES) -> list:
-    """Candidate situation models, deterministically pre-ranked.
+def perceive(board: Board, chunks) -> tuple:
+    """What orientation perceives: (relations, pool, cover).
 
-    Candidates are subsets (size <= cap, at most `max_candidates` of them)
-    of the entity pool {chunk instances} + {single pieces} that contain at
-    least one entity of each color and propose at least one mover move.
-    To keep enumeration bounded, subsets are drawn from the
-    `POOL_RANK_LIMIT` entities covering the most relations. The pre-rank
-    orders candidates by size, then by covered relations (more first),
-    then by entity ids.
+    `relations` are the board's relations sorted by id, `pool` the
+    entities (chunk instances, then single pieces) and `cover` maps each
+    entity id to the number of relations that involve one of its pieces.
     """
-    if cap not in (2, 3, 4):
-        raise ValueError(f"entity cap must be 2..4, got {cap}")
     relations = sorted(extract_relations(board), key=lambda r: r.id)
     pool = [_chunk_entity(c) for c in chunks] + [_piece_entity(p) for p in board.pieces]
+    cover = {e.id: sum(1 for r in relations if set(e.piece_ids) & set(r.entities))
+             for e in pool}
+    return relations, pool, cover
 
-    def coverage(entity):
-        members = set(entity.piece_ids)
-        return sum(1 for r in relations if members & set(r.entities))
 
-    ranked = sorted(pool, key=lambda e: (-coverage(e), e.id))
+def check_entity_cap(cap: int) -> None:
+    """ValueError unless `cap` is an entity cap exploration can use."""
+    if cap not in (2, 3, 4):
+        raise ValueError(f"entity cap must be 2..4, got {cap}")
+
+
+def enumerate_situations(board: Board, relations, pool, cover,
+                         cap: int = ENTITY_CAP) -> list:
+    """Candidate situation models, deterministically pre-ranked.
+
+    `relations`, `pool` and `cover` are what `perceive` returned for this
+    board. Candidates are subsets (size <= cap, at most `MAX_CANDIDATES`
+    of them) of the pool that contain at least one entity of each color
+    and propose at least one mover move. To keep enumeration bounded,
+    subsets are drawn from the `POOL_RANK_LIMIT` entities covering the
+    most relations. The pre-rank orders candidates by size, then by
+    covered relations (more first), then by entity ids.
+    """
+    check_entity_cap(cap)
+    ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
     selected = ranked[:POOL_RANK_LIMIT]
     for color in (Color.WHITE, Color.BLACK):
         if not any(e.color is color for e in selected):
@@ -201,14 +211,9 @@ def enumerate_situations(board: Board, chunks, cap: int = ENTITY_CAP,
     piece_info = {p.id: (p.kind.value, p.color) for p in board.pieces}
 
     candidates = []
-    seen = set()
     mover = board.side_to_move
     for size in range(2, cap + 1):
         for combo in itertools.combinations(selected, size):
-            ids = frozenset(e.id for e in combo)
-            if ids in seen:
-                continue
-            seen.add(ids)
             colors = {e.color for e in combo}
             if len(colors) != 2:
                 continue
@@ -226,7 +231,7 @@ def enumerate_situations(board: Board, chunks, cap: int = ENTITY_CAP,
             candidates.append(SituationModel(mover, entities, inside, moves, info))
 
     candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
-    return candidates[:max_candidates]
+    return candidates[:MAX_CANDIDATES]
 
 
 def score_situation(situation: SituationModel, tag: EmotionTag,
@@ -460,8 +465,8 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     A "solved" verdict always carries a validated line. The long-term
     memory is updated in place: +1 for a situation whose own proposed move
     opened the validated line, -1 for every situation that was refuted,
-    budget-exhausted, or rescued only by the fallback moves (scaled by
-    `limits.reward_scale`). Deterministic given identical inputs and seed.
+    budget-exhausted, or rescued only by the fallback moves.
+    Deterministic given identical inputs and seed.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"mate depth must be 1..6, got {n}")
@@ -470,7 +475,6 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     ltm = ltm or LongTermMemory()
     catalog = catalog if catalog is not None else load_catalog()
 
-    from .board import emit_fen
     trace = ReasoningTrace({
         "puzzle": puzzle_id, "fen": emit_fen(board), "mate_in": n,
         "profile": profile.style, "seed": seed,
@@ -479,17 +483,13 @@ def solve(board: Board, n: int, profile: PlayerProfile,
 
     # Orientation: perceive chunks and relations, load entities into WM.
     chunks = recognize_chunks(board, catalog)
-    relations = sorted(extract_relations(board), key=lambda r: r.id)
+    relations, pool, cover = perceive(board, chunks)
     clock += _COST_ORIENT_MS
     trace.add(clock, "orientation", "chunks", None,
               {"instances": [c.id for c in chunks]})
     trace.add(clock, "orientation", "relations", None,
               {"count": len(relations), "ids": [r.id for r in relations]})
 
-    pool = [_chunk_entity(c) for c in chunks] + \
-           [_piece_entity(p) for p in board.pieces]
-    cover = {e.id: sum(1 for r in relations if set(e.piece_ids) & set(r.entities))
-             for e in pool}
     max_cover = max(cover.values(), default=0) or 1
     accepted, rejected = [], []
     for e in sorted(pool, key=lambda e: (e.etype != "chunk", -cover[e.id], e.id)):
@@ -503,14 +503,13 @@ def solve(board: Board, n: int, profile: PlayerProfile,
                "capacity": wm.capacity})
 
     # Exploration: enumerate, score with recalled emotion, rank.
-    candidates = enumerate_situations(board, chunks, limits.entity_cap,
-                                      limits.max_candidates)
+    candidates = enumerate_situations(board, relations, pool, cover,
+                                      limits.entity_cap)
     scored = []
     for s in candidates:
         sig = situation_signature(s)
         tag = ltm.lookup(sig)
-        scored.append((score_situation(s, tag, profile), tag, sig,
-                       replace(s, emotion=tag)))
+        scored.append((score_situation(s, tag, profile), tag, sig, s))
     # stable: full ties keep the enumeration pre-rank (cold-start fallback)
     scored.sort(key=lambda t: (-t[0], -t[1].dominance))
     clock += _COST_EXPLORE_MS
@@ -554,15 +553,12 @@ def solve(board: Board, n: int, profile: PlayerProfile,
                 # credit the situation only if its own proposal started the
                 # line; a mate found through the fallback moves means the
                 # situation's proposals were refuted first
-                ltm.update(sig, limits.reward_scale if proposed
-                           else -limits.reward_scale)
+                ltm.update(sig, 1.0 if proposed else -1.0)
                 trace.add(clock, "validation", "verdict", episode,
                           {"verdict": "solved", "line": ucis,
                            "nodes": nodes_total})
                 return SolveResult("solved", ucis, nodes_total, investigated, trace)
-            ltm.update(sig, -limits.reward_scale)
-        else:
-            ltm.update(sig, -limits.reward_scale)
+        ltm.update(sig, -1.0)
 
     loss = None
     verdict = "unsolved"

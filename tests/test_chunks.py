@@ -69,6 +69,21 @@ def test_catalog_rejects_single_slot():
     assert e.value.field == "slots"
 
 
+@pytest.mark.parametrize("min_pieces", [1, 5, "2"])
+def test_catalog_rejects_out_of_range_min_pieces(min_pieces):
+    doc = json.loads(json.dumps(FIANCHETTO))
+    doc["patterns"][0]["min_pieces"] = min_pieces
+    with pytest.raises(CatalogError) as e:
+        load_catalog(doc)
+    assert (e.value.pattern, e.value.field) == ("fianchetto", "min_pieces")
+
+
+def test_catalog_accepts_min_pieces_in_range():
+    doc = json.loads(json.dumps(FIANCHETTO))
+    doc["patterns"][0]["min_pieces"] = 2
+    assert load_catalog(doc)[-1].name == "fianchetto"
+
+
 def test_wall_of_pawns_basic():
     b = parse_fen("6k1/5ppp/8/8/8/8/8/K7 w - - 0 1")
     walls = [c for c in recognize_chunks(b, load_catalog())

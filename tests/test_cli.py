@@ -67,6 +67,21 @@ def test_solve_requires_seed(puzzle_file, tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--entity-cap", "5", "entity cap must be 2..4, got 5"),
+    ("--wm-capacity", "12", "capacity must be in 4..9, got 12"),
+    ("--base-budget", "0", "base_budget must be >= 1"),
+])
+def test_solve_rejects_out_of_range_flag(puzzle_file, tmp_path, capsys,
+                                         flag, value, message):
+    out = tmp_path / "x"
+    assert main(["solve", "--puzzles", str(puzzle_file), "--seed", "1",
+                 flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid solve option: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", "--puzzles", str(tmp_path / "nope.jsonl"),
                  "--seed", "1", "--out", str(tmp_path / "x")]) == 1

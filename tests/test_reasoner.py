@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cogchess import reasoner
 from cogchess.board import parse_fen
 from cogchess.chunks import load_catalog, recognize_chunks
 from cogchess.memory import EmotionTag, LongTermMemory, WorkingMemory
 from cogchess.reasoner import (
-    PROFILES, LineError, PlayerProfile, SolveLimits, enumerate_situations,
-    effort_budget, forced_loss_in, investigate, score_situation, solve,
-    validate_line,
+    MAX_CANDIDATES, PROFILES, LineError, PlayerProfile, SolveLimits,
+    effort_budget, enumerate_situations, forced_loss_in, investigate,
+    perceive, score_situation, solve, validate_line,
 )
 
 MATE1_FEN = "6k1/5ppp/8/8/8/8/8/4R2K w - - 0 1"
@@ -22,10 +23,14 @@ PHASE_ORDER = {"orientation": 0, "exploration": 1,
                "investigation": 2, "validation": 3}
 
 
+def _explore(b, cap=4):
+    chunks = recognize_chunks(b, load_catalog())
+    return enumerate_situations(b, *perceive(b, chunks), cap)
+
+
 def _situations(fen, cap=4):
     b = parse_fen(fen)
-    chunks = recognize_chunks(b, load_catalog())
-    return b, enumerate_situations(b, chunks, cap)
+    return b, _explore(b, cap)
 
 
 def test_enumerate_lone_kings():
@@ -46,14 +51,13 @@ def test_enumerate_mixed_colors_and_cap():
 
 def test_enumerate_cap_monotone():
     b = parse_fen(MATE2_FEN)
-    chunks = recognize_chunks(b, load_catalog())
-    small = enumerate_situations(b, chunks, 3)
-    large = enumerate_situations(b, chunks, 4)
+    small = _explore(b, 3)
+    large = _explore(b, 4)
     large_sets = {frozenset(s.entity_ids) for s in large if len(s.entities) <= 3}
     for s in small:
         if frozenset(s.entity_ids) not in large_sets:
             # only acceptable if the cap-4 list was truncated before it
-            assert len(large) == 64
+            assert len(large) == MAX_CANDIDATES
             return
 
 
@@ -81,7 +85,7 @@ def test_enumerate_moves_come_from_entities():
 def test_enumerate_rejects_bad_cap():
     b = parse_fen(MATE1_FEN)
     with pytest.raises(ValueError):
-        enumerate_situations(b, [], 5)
+        enumerate_situations(b, *perceive(b, []), 5)
 
 
 def test_score_neutral_tag_is_zero():
@@ -131,8 +135,7 @@ def test_effort_budget_monotone():
 
 def test_investigate_finds_back_rank_mate():
     b = parse_fen(MATE1_FEN)
-    chunks = recognize_chunks(b, load_catalog())
-    models = enumerate_situations(b, chunks, 4)
+    models = _explore(b)
     rook_wall = next(s for s in models
                      if any(e.label == "rook" for e in s.entities)
                      and any(e.label == "wall-of-pawns" for e in s.entities))
@@ -143,8 +146,7 @@ def test_investigate_finds_back_rank_mate():
 
 def test_investigate_budget_exhaustion():
     b = parse_fen(MATE2_FEN)
-    chunks = recognize_chunks(b, load_catalog())
-    models = enumerate_situations(b, chunks, 4)
+    models = _explore(b)
     result = investigate(b, models[0], 2, budget=1)
     assert result.line is None
     assert result.exhausted
@@ -153,8 +155,7 @@ def test_investigate_budget_exhaustion():
 def test_investigate_no_mate_means_nothing():
     b = parse_fen("8/8/8/8/8/8/8/K6k w - - 0 1")
     assert not oracles.mate_in(oracles.from_board(b), 1)
-    chunks = recognize_chunks(b, load_catalog())
-    models = enumerate_situations(b, chunks, 3)
+    models = _explore(b, 3)
     result = investigate(b, models[0], 1, budget=10_000)
     assert result.line is None
     assert not result.exhausted
@@ -297,3 +298,12 @@ def test_solve_survival_verdict():
     result = solve(b, 1, PROFILES["defensive"], limits=limits, seed=2)
     assert result.verdict == "hopeless"
     assert result.forced_loss_in == 1
+
+
+def test_solve_extracts_relations_once(monkeypatch):
+    calls = []
+    real = reasoner.extract_relations
+    monkeypatch.setattr(reasoner, "extract_relations",
+                        lambda b: calls.append(b) or real(b))
+    solve(parse_fen(MATE2_FEN), 2, PROFILES["neutral"])
+    assert len(calls) == 1
