@@ -57,6 +57,15 @@ def _merged(args, config: dict, key: str, default):
     return config.get(key, default)
 
 
+def _int_option(args, config: dict, key: str, default) -> int:
+    """`_merged` as an int, or ValueError naming `key`."""
+    value = _merged(args, config, key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _load_puzzles(path: Path):
     puzzles = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -104,20 +113,23 @@ def run_solve(args) -> int:
     if profile not in PROFILES:
         print(f"unknown profile {profile!r}", file=sys.stderr)
         return 2
-    wm_capacity = int(_merged(args, config, "wm_capacity", 7))
-    entity_cap = int(_merged(args, config, "entity_cap", 4))
-    max_nodes = int(_merged(args, config, "max_nodes", 50_000))
-    base_budget = int(_merged(args, config, "base_budget", 3000))
-    jobs = int(_merged(args, config, "jobs", 1))
     try:  # the checks each solve would make, before any solve starts
+        seed = _int_option(args, config, "seed", None)
+        wm_capacity = _int_option(args, config, "wm_capacity", 7)
+        entity_cap = _int_option(args, config, "entity_cap", 4)
+        max_nodes = _int_option(args, config, "max_nodes", 50_000)
+        base_budget = _int_option(args, config, "base_budget", 3000)
+        jobs = _int_option(args, config, "jobs", 1)
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         player = PlayerProfile(profile, base_budget=base_budget)
         WorkingMemory(capacity=wm_capacity)
         check_entity_cap(entity_cap)
+        limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
+                             wm_capacity=wm_capacity)
     except ValueError as exc:
         print(f"invalid solve option: {exc}", file=sys.stderr)
         return 2
-    limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
-                         wm_capacity=wm_capacity)
 
     try:
         puzzles = _load_puzzles(puzzles_path)
@@ -127,7 +139,7 @@ def run_solve(args) -> int:
     ltm_text = Path(args.ltm).read_text() if args.ltm else None
     catalog_text = Path(args.catalog).read_text() if args.catalog else None
 
-    payloads = [(p, player, limits, int(seed), ltm_text, catalog_text)
+    payloads = [(p, player, limits, seed, ltm_text, catalog_text)
                 for p in puzzles]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -151,7 +163,7 @@ def run_solve(args) -> int:
     table += "".join("\t".join(r) + "\n" for r in rows)
     (out_dir / "verdicts.tsv").write_text(table)
     summary = (f"puzzles\t{len(rows)}\nsolved\t{solved}\n"
-               f"total_nodes\t{total_nodes}\nseed\t{int(seed)}\n")
+               f"total_nodes\t{total_nodes}\nseed\t{seed}\n")
     (out_dir / "summary.txt").write_text(summary)
     print(f"solved {solved}/{len(rows)} puzzles, {total_nodes} nodes "
           f"-> {out_dir}")

@@ -17,9 +17,11 @@ byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,6 +143,12 @@ class SolveLimits:
     wm_capacity: int = 7
     survival_check: bool = False
 
+    def __post_init__(self):
+        if self.max_total_nodes < 1:
+            raise ValueError(f"max_total_nodes must be >= 1, got {self.max_total_nodes}")
+        if self.max_situations < 1:
+            raise ValueError(f"max_situations must be >= 1, got {self.max_situations}")
+
 
 @dataclass
 class SolveResult:
@@ -195,7 +203,10 @@ def enumerate_situations(board: Board, relations, pool, cover,
     and propose at least one mover move. To keep enumeration bounded,
     subsets are drawn from the `POOL_RANK_LIMIT` entities covering the
     most relations. The pre-rank orders candidates by size, then by
-    covered relations (more first), then by entity ids.
+    covered relations (more first), then by entity ids. Subsets are
+    ranked on piece bitmasks (one bit per board piece) and enumeration
+    stops at the size that fills `MAX_CANDIDATES`, so a `SituationModel`
+    is built only for each candidate kept.
     """
     check_entity_cap(cap)
     ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
@@ -205,33 +216,47 @@ def enumerate_situations(board: Board, relations, pool, cover,
             extra = next((e for e in ranked[POOL_RANK_LIMIT:] if e.color is color), None)
             if extra is not None:
                 selected.append(extra)
+    # in id order, index tuples of combinations sort as their id tuples do
+    selected.sort(key=lambda e: e.id)
 
+    pieces = board.pieces
+    bit = {p.id: 1 << i for i, p in enumerate(pieces)}
+
+    def mask(pids) -> int:
+        return functools.reduce(operator.or_, (bit[pid] for pid in pids), 0)
+
+    pid_at = {p.square.index: p.id for p in pieces}
     legal = board.legal_moves()
-    pid_at = {p.square.index: p.id for p in board.pieces}
-    piece_info = {p.id: (p.kind.value, p.color) for p in board.pieces}
+    move_masks = [bit[pid_at[m.from_sq.index]] for m in legal]
+    movers = functools.reduce(operator.or_, move_masks, 0)
+    entity_masks = [mask(e.piece_ids) for e in selected]
+    entity_colors = [1 if e.color is Color.WHITE else 2 for e in selected]
+    relation_masks = [mask(r.entities) for r in relations]
 
-    candidates = []
-    mover = board.side_to_move
+    keys = []
     for size in range(2, cap + 1):
-        for combo in itertools.combinations(selected, size):
-            colors = {e.color for e in combo}
-            if len(colors) != 2:
+        if len(keys) >= MAX_CANDIDATES:
+            break  # size leads the pre-rank key: no larger subset can be kept
+        for combo in itertools.combinations(range(len(selected)), size):
+            members = colors = 0
+            for i in combo:
+                members |= entity_masks[i]
+                colors |= entity_colors[i]
+            # both colors, and at least one move to propose
+            if colors != 3 or not members & movers:
                 continue
-            member_pieces = set()
-            for e in combo:
-                member_pieces.update(e.piece_ids)
-            inside = tuple(r for r in relations
-                           if set(r.entities) <= member_pieces)
-            moves = tuple(m for m in legal
-                          if pid_at[m.from_sq.index] in member_pieces)
-            if not moves:  # a situation must propose at least one move
-                continue
-            entities = tuple(sorted(combo, key=lambda e: e.id))
-            info = {pid: piece_info[pid] for pid in member_pieces}
-            candidates.append(SituationModel(mover, entities, inside, moves, info))
+            outside = ~members
+            inside = sum(1 for rm in relation_masks if not rm & outside)
+            keys.append((size, -inside, combo, members))
+    keys.sort()  # total: no two subsets share an index tuple
 
-    candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
-    return candidates[:MAX_CANDIDATES]
+    mover = board.side_to_move
+    return [SituationModel(
+        mover, tuple(selected[i] for i in combo),
+        tuple(r for r, rm in zip(relations, relation_masks) if not rm & ~members),
+        tuple(m for m, mm in zip(legal, move_masks) if mm & members),
+        {p.id: (p.kind.value, p.color) for p in pieces if bit[p.id] & members})
+        for _, _, combo, members in keys[:MAX_CANDIDATES]]
 
 
 def score_situation(situation: SituationModel, tag: EmotionTag,

@@ -6,9 +6,20 @@ positions are immutable dicts keyed by (file, rank) 0..7 coordinates,
 moves are found by testing every (from, to) square pair against a
 geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
+
+`enumerate_situations_reference` is the one exception: the solver's
+exploration step in its earlier, exhaustive form (build every subset,
+sort, truncate), kept as the reference the ranked form must equal.
 """
 
+import itertools
 from collections import namedtuple
+
+from cogchess.board import Color
+from cogchess.reasoner import (
+    ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, SituationModel,
+    check_entity_cap,
+)
 
 OPos = namedtuple("OPos", "pieces stm castles ep halfmove fullmove")
 # pieces: dict {(f, r): ("P", "w")} with kind letter in PNBRQK + color w/b
@@ -403,3 +414,46 @@ def trapped_kings(pos):
         if deniers:
             out.add((other, frozenset({k} | deniers)))
     return out
+
+
+def enumerate_situations_reference(board, relations, pool, cover,
+                                   cap=ENTITY_CAP):
+    """`reasoner.enumerate_situations` as it was before it ranked subsets
+    by piece bitmasks: builds every subset of size 2..cap as a
+    `SituationModel`, sorts them all and keeps the first `MAX_CANDIDATES`.
+    """
+    check_entity_cap(cap)
+    ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
+    selected = ranked[:POOL_RANK_LIMIT]
+    for color in (Color.WHITE, Color.BLACK):
+        if not any(e.color is color for e in selected):
+            extra = next((e for e in ranked[POOL_RANK_LIMIT:] if e.color is color), None)
+            if extra is not None:
+                selected.append(extra)
+
+    legal = board.legal_moves()
+    pid_at = {p.square.index: p.id for p in board.pieces}
+    piece_info = {p.id: (p.kind.value, p.color) for p in board.pieces}
+
+    candidates = []
+    mover = board.side_to_move
+    for size in range(2, cap + 1):
+        for combo in itertools.combinations(selected, size):
+            colors = {e.color for e in combo}
+            if len(colors) != 2:
+                continue
+            member_pieces = set()
+            for e in combo:
+                member_pieces.update(e.piece_ids)
+            inside = tuple(r for r in relations
+                           if set(r.entities) <= member_pieces)
+            moves = tuple(m for m in legal
+                          if pid_at[m.from_sq.index] in member_pieces)
+            if not moves:  # a situation must propose at least one move
+                continue
+            entities = tuple(sorted(combo, key=lambda e: e.id))
+            info = {pid: piece_info[pid] for pid in member_pieces}
+            candidates.append(SituationModel(mover, entities, inside, moves, info))
+
+    candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
+    return candidates[:MAX_CANDIDATES]

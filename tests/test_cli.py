@@ -71,6 +71,9 @@ def test_solve_requires_seed(puzzle_file, tmp_path):
     ("--entity-cap", "5", "entity cap must be 2..4, got 5"),
     ("--wm-capacity", "12", "capacity must be in 4..9, got 12"),
     ("--base-budget", "0", "base_budget must be >= 1"),
+    ("--max-nodes", "0", "max_total_nodes must be >= 1, got 0"),
+    ("--max-nodes", "-5", "max_total_nodes must be >= 1, got -5"),
+    ("--jobs", "0", "jobs must be >= 1, got 0"),
 ])
 def test_solve_rejects_out_of_range_flag(puzzle_file, tmp_path, capsys,
                                          flag, value, message):
@@ -79,6 +82,21 @@ def test_solve_rejects_out_of_range_flag(puzzle_file, tmp_path, capsys,
                  flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"invalid solve option: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("jobs", "two"), ("max_nodes", "x"), ("seed", "s"), ("entity_cap", None),
+])
+def test_solve_rejects_non_integer_config_value(puzzle_file, tmp_path, capsys,
+                                                key, value):
+    out = tmp_path / "x"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, key: value}))
+    assert main(["solve", "--config", str(cfg), "--puzzles", str(puzzle_file),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid solve option: {key} must be an integer, got {value!r}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,9 @@
 """Reasoner tests: situation enumeration, emotion scoring, budgeted
 investigation, full-width validation, and the four-phase solver."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,12 @@ from cogchess.reasoner import (
     effort_budget, enumerate_situations, forced_loss_in, investigate,
     perceive, score_situation, solve, validate_line,
 )
+
+DATA = Path(__file__).parent / "data"
+DESK_FENS = {rec["id"]: rec["fen"] for rec in map(
+    json.loads, (DATA / "puzzles_desk40.jsonl").read_text().splitlines())}
+MOTIF_FENS = [row.split("\t")[0] for row in
+              (DATA / "motif72_golden.tsv").read_text().splitlines()[1:-1]]
 
 MATE1_FEN = "6k1/5ppp/8/8/8/8/8/4R2K w - - 0 1"
 MATE2_FEN = "r5k1/5ppp/8/8/8/4Q3/7K/4R3 w - - 0 1"
@@ -80,6 +89,30 @@ def test_enumerate_moves_come_from_entities():
             members.update(e.piece_ids)
         for m in s.moves:
             assert pid_at[m.from_sq.index] in members
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_enumerate_matches_exhaustive_reference(cap):
+    """Ranking on bitmasks and stopping at the size that fills the list
+    keeps every candidate, in order, that building all subsets keeps."""
+    catalog = load_catalog()
+    for fen in list(DESK_FENS.values()) + MOTIF_FENS:
+        b = parse_fen(fen)
+        perceived = perceive(b, recognize_chunks(b, catalog))
+        got = enumerate_situations(b, *perceived, cap)
+        want = oracles.enumerate_situations_reference(b, *perceived, cap)
+        assert got == want, fen
+        assert [s.piece_info for s in got] == [s.piece_info for s in want], fen
+
+
+@pytest.mark.parametrize("fen", [MOTIF_FENS[0], DESK_FENS["m1-009"]])
+def test_enumerate_builds_only_kept_models(monkeypatch, fen):
+    built = []
+    real = reasoner.SituationModel
+    monkeypatch.setattr(reasoner, "SituationModel",
+                        lambda *a: built.append(a) or real(*a))
+    models = _situations(fen)[1]
+    assert len(built) == len(models) <= MAX_CANDIDATES
 
 
 def test_enumerate_rejects_bad_cap():
@@ -283,6 +316,12 @@ def test_solve_wm_capacity_respected():
     wm = WorkingMemory(capacity=4)
     solve(b, 2, PROFILES["neutral"], wm=wm, seed=1)
     assert len(wm.slots) <= 4
+
+
+@pytest.mark.parametrize("field", ["max_total_nodes", "max_situations"])
+def test_solve_limits_reject_empty_budget(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        SolveLimits(**{field: 0})
 
 
 def test_forced_loss_detection():
