@@ -146,11 +146,8 @@ def attack_targets(sq, frm):
 
 
 def _king_square(sq, white):
-    code = WK if white else BK
-    for i in range(64):
-        if sq[i] == code:
-            return i
-    return -1
+    """Lowest square holding the side's king, or -1 (`sq` is bytes or bytearray)."""
+    return sq.find(WK if white else BK)
 
 
 def in_check(sq, white):

@@ -58,12 +58,18 @@ def _merged(args, config: dict, key: str, default):
 
 
 def _int_option(args, config: dict, key: str, default) -> int:
-    """`_merged` as an int, or ValueError naming `key`."""
+    """`_merged` as an int, or ValueError naming `key`.
+
+    A bool, or a float that is not whole, is rejected rather than truncated.
+    """
     value = _merged(args, config, key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool) and not (
+            isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _load_puzzles(path: Path):

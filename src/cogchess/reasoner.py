@@ -323,18 +323,31 @@ def _apply(mg, state, m) -> tuple:
 
 
 def investigate(board: Board, situation: SituationModel, n: int,
-                budget: int) -> InvestigationResult:
+                budget: int, table: Optional[dict] = None) -> InvestigationResult:
     """Depth-limited AND-OR search for a forced mate in <= n mover moves.
 
     Root moves are ordered situation-first (checks, captures, quiet within
     each group); opponent replies are always exhaustive. Expands at most
     `budget` nodes; an exhausted budget is a failure for this situation,
     not an error.
+
+    `table` maps `(squares, stm, castling, ep, movers_left)` to `(line,
+    nodes)` for every non-root OR node whose subtree completed; `solve`
+    passes one table to all its situations so that each subtree is
+    searched once per solve (`None` means a fresh table). A hit charges
+    the nodes the subtree spent when it was searched, clamped to
+    `budget + 1` where that runs out, which is exactly where the search
+    itself would have stopped; so the result and the node count are the
+    same as without the table. The root is never stored, because its
+    move order depends on the situation, and neither is a subtree that
+    ran out of budget. `movers_left` falls strictly along a path, so a
+    key never recurs inside its own subtree.
     """
     if n < 1 or budget < 1:
         raise ValueError("need n >= 1 and budget >= 1")
     mg = _board._mg
     preferred = {_move_to_tuple(m)[:3] for m in situation.moves}
+    table = {} if table is None else table
     counter = {"nodes": 0}
 
     def spend():
@@ -362,11 +375,28 @@ def investigate(board: Board, situation: SituationModel, n: int,
                     return [m] + reply_line
         return None
 
+    def inner_or_node(state, movers_left: int) -> Optional[list]:
+        # halfmove and fullmove are not in the key: no kernel move, check
+        # or child depends on them (there is no fifty-move or repetition rule)
+        key = state[:4] + (movers_left,)
+        hit = table.get(key)
+        if hit is not None:
+            line, spent = hit
+            counter["nodes"] += spent
+            if counter["nodes"] > budget:
+                counter["nodes"] = budget + 1
+                raise _BudgetExhausted
+            return line
+        start = counter["nodes"]
+        line = or_node(state, movers_left, False)
+        table[key] = (line, counter["nodes"] - start)
+        return line
+
     def and_node(state, replies, movers_left: int) -> Optional[list]:
         spend()
         pv = None
         for reply in replies:
-            cont = or_node(_apply(mg, state, reply), movers_left, False)
+            cont = inner_or_node(_apply(mg, state, reply), movers_left)
             if cont is None:
                 return None
             if pv is None:
@@ -546,6 +576,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
 
     nodes_total = 0
     investigated = 0
+    table = {}  # investigate's OR-node results, shared by this solve only
     for episode, (score, tag, sig, situation) in enumerate(scored, start=1):
         if investigated >= limits.max_situations:
             break
@@ -558,7 +589,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
                    "budget": budget,
                    "entities": list(situation.entity_ids)})
 
-        result = investigate(board, situation, n, budget)
+        result = investigate(board, situation, n, budget, table)
         investigated += 1
         nodes_total += result.nodes
         clock += result.nodes * _COST_PER_NODE_MS

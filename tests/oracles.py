@@ -7,17 +7,22 @@ moves are found by testing every (from, to) square pair against a
 geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
 
-`enumerate_situations_reference` is the one exception: the solver's
-exploration step in its earlier, exhaustive form (build every subset,
-sort, truncate), kept as the reference the ranked form must equal.
+`enumerate_situations_reference` and `investigate_reference` are the
+exceptions: the solver's exploration step in its earlier, exhaustive form
+(build every subset, sort, truncate), and its investigation step as it
+was before it kept a table of OR-node results, each kept as the reference
+the current form must equal.
 """
 
 import itertools
 from collections import namedtuple
+from typing import Optional
 
-from cogchess.board import Color
+from cogchess import board as _board
+from cogchess.board import Board, Color, _move_from_tuple, _move_to_tuple
 from cogchess.reasoner import (
-    ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, SituationModel,
+    ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
+    SituationModel, _apply, _BudgetExhausted, _ordered, _state,
     check_entity_cap,
 )
 
@@ -457,3 +462,63 @@ def enumerate_situations_reference(board, relations, pool, cover,
 
     candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
     return candidates[:MAX_CANDIDATES]
+
+
+def investigate_reference(board: Board, situation: SituationModel, n: int,
+                          budget: int) -> InvestigationResult:
+    """Depth-limited AND-OR search for a forced mate in <= n mover moves.
+
+    Root moves are ordered situation-first (checks, captures, quiet within
+    each group); opponent replies are always exhaustive. Expands at most
+    `budget` nodes; an exhausted budget is a failure for this situation,
+    not an error.
+    """
+    if n < 1 or budget < 1:
+        raise ValueError("need n >= 1 and budget >= 1")
+    mg = _board._mg
+    preferred = {_move_to_tuple(m)[:3] for m in situation.moves}
+    counter = {"nodes": 0}
+
+    def spend():
+        counter["nodes"] += 1
+        if counter["nodes"] > budget:
+            raise _BudgetExhausted
+
+    def or_node(state, movers_left: int, at_root: bool) -> Optional[list]:
+        spend()
+        ordered = _ordered(mg, state, mg.legal_moves(*state[:4]))
+        if at_root:
+            ordered = ([t for t in ordered if t[0][:3] in preferred]
+                       + [t for t in ordered if t[0][:3] not in preferred])
+        for m, child, check in ordered:
+            if movers_left == 1 and not check:
+                continue  # the last mover move must mate, so must check
+            replies = mg.legal_moves(*child[:4])
+            if not replies:
+                if check:
+                    return [m]
+                continue  # stalemate
+            if movers_left > 1:
+                reply_line = and_node(child, replies, movers_left - 1)
+                if reply_line is not None:
+                    return [m] + reply_line
+        return None
+
+    def and_node(state, replies, movers_left: int) -> Optional[list]:
+        spend()
+        pv = None
+        for reply in replies:
+            cont = or_node(_apply(mg, state, reply), movers_left, False)
+            if cont is None:
+                return None
+            if pv is None:
+                pv = [reply] + cont
+        return pv
+
+    try:
+        line = or_node(_state(board), n, True)
+    except _BudgetExhausted:
+        return InvestigationResult(None, counter["nodes"], True)
+    if line is not None:
+        line = [_move_from_tuple(t) for t in line]
+    return InvestigationResult(line, counter["nodes"], False)

@@ -87,6 +87,8 @@ def test_solve_rejects_out_of_range_flag(puzzle_file, tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [
     ("jobs", "two"), ("max_nodes", "x"), ("seed", "s"), ("entity_cap", None),
+    ("max_nodes", 2.9), ("seed", 1.7), ("jobs", True), ("base_budget", False),
+    ("wm_capacity", float("inf")),
 ])
 def test_solve_rejects_non_integer_config_value(puzzle_file, tmp_path, capsys,
                                                 key, value):

@@ -81,3 +81,9 @@ def test_attack_helpers_identical(compiled):
             for white in (True, False):
                 assert compiled.attacked(st[0], i, white) == pure.attacked(st[0], i, white)
                 assert compiled.attackers(st[0], i, white) == pure.attackers(st[0], i, white)
+
+
+def test_in_check_identical(compiled):
+    for b in playout_positions(8, seed=53):
+        for white in (True, False):
+            assert compiled.in_check(b._squares, white) == pure.in_check(b._squares, white)

@@ -2,6 +2,7 @@
 investigation, full-width validation, and the four-phase solver."""
 
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cogchess import board as _board
 from cogchess import reasoner
 from cogchess.board import parse_fen
 from cogchess.chunks import load_catalog, recognize_chunks
@@ -20,8 +22,9 @@ from cogchess.reasoner import (
 )
 
 DATA = Path(__file__).parent / "data"
-DESK_FENS = {rec["id"]: rec["fen"] for rec in map(
-    json.loads, (DATA / "puzzles_desk40.jsonl").read_text().splitlines())}
+DESK = [json.loads(line) for line in
+        (DATA / "puzzles_desk40.jsonl").read_text().splitlines()]
+DESK_FENS = {rec["id"]: rec["fen"] for rec in DESK}
 MOTIF_FENS = [row.split("\t")[0] for row in
               (DATA / "motif72_golden.tsv").read_text().splitlines()[1:-1]]
 
@@ -192,6 +195,64 @@ def test_investigate_no_mate_means_nothing():
     result = investigate(b, models[0], 1, budget=10_000)
     assert result.line is None
     assert not result.exhausted
+
+
+def _outcome(result):
+    line = [m.uci for m in result.line] if result.line else None
+    return line, result.nodes, result.exhausted
+
+
+@pytest.mark.parametrize("mate_in", [1, 2, 3])
+def test_investigate_table_matches_reference(mate_in):
+    """Situations run in enumeration order through one shared table give
+    the line, node count and exhaustion of the search without a table, on
+    every desk-40 board of this depth at its depth and one move short.
+
+    Each situation runs at budgets 1, 2, 3, 7, 60 and 3000, at its own
+    node count and one less, in ascending order, so that the budget runs
+    out both inside a subtree and on a table hit. A budget between its own
+    count and 3000 searches exactly as its own count does and is skipped.
+    """
+    for rec in (r for r in DESK if r["mate_in"] == mate_in):
+        b, models = _situations(rec["fen"])
+        for n in range(max(1, mate_in - 1), mate_in + 1):
+            want = {}  # (proposed moves, budget) -> reference outcome
+            table = {}
+            for s in models:
+                if (s.moves, 3000) not in want:
+                    for budget in (1, 2, 3, 7, 60, 3000):
+                        want[s.moves, budget] = _outcome(
+                            oracles.investigate_reference(b, s, n, budget))
+                own = min(want[s.moves, 3000][1], 3000)
+                # the reference spends the same nodes at its own count and
+                # stops on that node one budget below it
+                want.setdefault((s.moves, own - 1), (None, own, True))
+                want.setdefault((s.moves, own), want[s.moves, 3000])
+                budgets = {k for k in (1, 2, 3, 7, 60) if k < own}
+                for budget in sorted(budgets | {own - 1, own, 3000} - {0}):
+                    got = _outcome(investigate(b, s, n, budget, table))
+                    assert got == want[s.moves, budget], (rec["id"], n, budget)
+
+
+def test_investigate_table_reuses_subtrees(monkeypatch):
+    """Later situations of a solve read the subtrees earlier ones searched."""
+    calls = []
+    kernel = _board._mg
+    proxy = types.SimpleNamespace(**{
+        name: getattr(kernel, name) for name in dir(kernel)
+        if not name.startswith("__")})
+    proxy.legal_moves = lambda *a: calls.append(a) or kernel.legal_moves(*a)
+    monkeypatch.setattr(_board, "_mg", proxy)
+    b, models = _situations(DESK_FENS["m2-007"])
+    assert len(models) > 1
+    counts = []
+    for shared in (True, False):
+        calls.clear()
+        table = {}
+        for s in models:
+            investigate(b, s, 2, 3000, table if shared else None)
+        counts.append(len(calls))
+    assert counts[0] < counts[1]
 
 
 def test_validate_back_rank_line():
