@@ -4,7 +4,8 @@ Mirror of the compiled ``cogchess._movegen`` extension; ``cogchess.board``
 picks whichever imports. Both kernels work on a flat 64-byte mailbox
 (a1 = 0 .. h8 = 63, rank-major) with piece codes 1..6 for white
 pawn/knight/bishop/rook/queen/king and 7..12 for black, and must return
-bit-identical results.
+bit-identical results. Only this kernel has ``has_legal_move``;
+``cogchess.board.has_legal_move`` stands in for it on the compiled one.
 
 Moves are ``(frm, to, promo, flags)`` int tuples, sorted ascending, with
 promo one of 0/2/3/4/5 (none/knight/bishop/rook/queen, color-neutral).
@@ -306,24 +307,115 @@ def _unmake(arr, stm, frm, to, promo, flags, undo):
             arr[56] = BR
 
 
+# Moves that always take the make/attacked/unmake test: en passant empties
+# two squares of one rank, and castling moves the king.
+_FULL_TEST_FLAGS = FLAG_EP | FLAG_CASTLE_K | FLAG_CASTLE_Q
+
+
+def _pins_and_evasions(sq, king, white):
+    """Pinned pieces and check evasions of the side whose king is on `king`.
+
+    Walks the eight rays out from the king once. Returns `(pinned,
+    evasions)` as square bitmasks: `pinned` holds each of the side's
+    pieces that stands alone between the king and an enemy slider moving
+    along that ray. `evasions` is None when the king is not attacked;
+    otherwise it holds the squares a move by any other piece must land on
+    to answer the check: the checker and the squares between it and the
+    king, and none at all on a double check.
+    """
+    if white:
+        rk, bi, qu, kn, kg, pw = BR, BB, BQ, BN, BK, BP
+    else:
+        rk, bi, qu, kn, kg, pw = WR, WB, WQ, WN, WK, WP
+    kf = king & 7
+    kr = king >> 3
+    pinned = 0
+    evasions = 0
+    checkers = 0
+    for dirs, slider in ((_ORTH, rk), (_DIAG, bi)):
+        for df, dr in dirs:
+            f, r = kf + df, kr + dr
+            ray = 0
+            blocker = -1
+            while 0 <= f <= 7 and 0 <= r <= 7:
+                s = r * 8 + f
+                ray |= 1 << s
+                p = sq[s]
+                if p != EMPTY:
+                    if (p <= 6) == white:
+                        if blocker >= 0:
+                            break
+                        blocker = s
+                    else:
+                        if p == slider or p == qu:
+                            if blocker >= 0:
+                                pinned |= 1 << blocker
+                            else:
+                                checkers += 1
+                                evasions |= ray
+                        break
+                f += df
+                r += dr
+    # `attacked` counts an adjacent enemy king, so it is a checker here too
+    for deltas, piece in ((_KNIGHT, kn), (_KING, kg)):
+        for df, dr in deltas:
+            f, r = kf + df, kr + dr
+            if 0 <= f <= 7 and 0 <= r <= 7 and sq[r * 8 + f] == piece:
+                checkers += 1
+                evasions |= 1 << (r * 8 + f)
+    # an enemy pawn attacks the king from one rank ahead of it
+    r = kr + 1 if white else kr - 1
+    if 0 <= r <= 7:
+        for f in (kf - 1, kf + 1):
+            if 0 <= f <= 7 and sq[r * 8 + f] == pw:
+                checkers += 1
+                evasions |= 1 << (r * 8 + f)
+    if not checkers:
+        return pinned, None
+    return pinned, evasions if checkers == 1 else 0
+
+
+def _legal_among(arr, stm, moves, king, pinned, evasions):
+    """Yield the legal ones of the pseudo-moves `moves`, in their order.
+
+    `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A move
+    by a piece other than the king that misses the evasion squares while
+    in check is illegal; one that is not en passant or castling, by a
+    piece that is not pinned, is legal otherwise. Every other move is
+    made on `arr`, tested with `attacked` and unmade. A king move (castling
+    included) leaves its king on the move's target.
+    """
+    white = stm == 0
+    for m in moves:
+        frm, to, promo, flags = m
+        if frm != king and not flags & _FULL_TEST_FLAGS:
+            if evasions is not None and not evasions >> to & 1:
+                continue
+            if not pinned >> frm & 1:
+                yield m
+                continue
+        undo = _make(arr, stm, frm, to, promo, flags)
+        safe = not attacked(arr, to if frm == king else king, not white)
+        _unmake(arr, stm, frm, to, promo, flags, undo)
+        if safe:
+            yield m
+
+
 def _legal(arr, stm, castling, ep):
     """Legal moves of the position in `arr`, in generation order.
 
-    The side's king is found once; a pseudo-move leaves it in place
-    unless the king itself moves (castling included), in which case it
-    stands on the move's target.
+    The side's king is found, and its pinned pieces and checkers
+    computed, once per position (`_pins_and_evasions`); only king moves,
+    castling, en passant and moves by pinned pieces then need
+    make/attacked/unmake. Without a king every pseudo-move is legal.
     """
     white = stm == 0
     king = _king_square(arr, white)
-    out = []
-    for m in _pseudo_moves(arr, stm, castling, ep):
-        frm, to, promo, flags = m
-        undo = _make(arr, stm, frm, to, promo, flags)
-        k = to if frm == king else king
-        if k < 0 or not attacked(arr, k, not white):
-            out.append(m)
-        _unmake(arr, stm, frm, to, promo, flags, undo)
-    return out
+    moves = _pseudo_moves(arr, stm, castling, ep)
+    if king < 0:
+        return moves
+    pinned, evasions = _pins_and_evasions(arr, king, white)
+    return list(_legal_among(arr, stm, moves, king, pinned, evasions))
 
 
 def legal_moves(sq, stm, castling, ep):
@@ -331,6 +423,45 @@ def legal_moves(sq, stm, castling, ep):
     out = _legal(bytearray(sq), stm, castling, ep)
     out.sort()
     return out
+
+
+def has_legal_move(sq, stm, castling, ep):
+    """Whether the side to move has a legal move; `bool(legal_moves(...))`.
+
+    Stops at the first legal move it finds. King steps come first, each
+    tested with the king lifted off its square. Then the other pieces'
+    pseudo-moves go through the same pin, checker and evasion filter as
+    `_legal`. Castling is not tried: it is generated only when the king's
+    square and the one it crosses are not attacked, and then the plain
+    step onto that crossed square is legal already. Without a king every
+    pseudo-move is legal, as in `_legal`.
+
+    The compiled kernel has no such entry: callers go through
+    `cogchess.board.has_legal_move`, which falls back to
+    `bool(legal_moves(...))` there.
+    """
+    white = stm == 0
+    kc = WK if white else BK
+    king = sq.find(kc)
+    if king < 0:
+        return bool(_pseudo_moves(sq, stm, castling, ep))
+    arr = bytearray(sq)
+    arr[king] = EMPTY
+    kf = king & 7
+    kr = king >> 3
+    for df, dr in _KING:
+        f, r = kf + df, kr + dr
+        if 0 <= f <= 7 and 0 <= r <= 7:
+            p = arr[r * 8 + f]
+            if (p == EMPTY or (p <= 6) != white) \
+                    and not attacked(arr, r * 8 + f, not white):
+                return True
+    arr[king] = kc
+    pinned, evasions = _pins_and_evasions(arr, king, white)
+    others = [m for m in _pseudo_moves(arr, stm, castling, ep) if m[0] != king]
+    for _ in _legal_among(arr, stm, others, king, pinned, evasions):
+        return True
+    return False
 
 
 def _update_castling(castling, frm, to):

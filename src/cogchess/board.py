@@ -26,6 +26,19 @@ else:
         KERNEL = "python"
 
 
+def has_legal_move(sq, stm, castling, ep) -> bool:
+    """Whether the side to move has a legal move, on raw kernel state.
+
+    The pure-Python kernel's `has_legal_move` stops at the first legal
+    move; the compiled kernel has no such entry, so for it this is
+    `bool(legal_moves(...))`. The kernel is looked up on each call.
+    """
+    fn = getattr(_mg, "has_legal_move", None)
+    if fn is None:
+        return bool(_mg.legal_moves(sq, stm, castling, ep))
+    return fn(sq, stm, castling, ep)
+
+
 class FenError(ValueError):
     """Malformed or illegal FEN. `code` identifies the specific violation."""
 
@@ -286,8 +299,8 @@ class Board:
         return _mg.in_check(self._squares, self.side_to_move is Color.WHITE)
 
     def game_status(self) -> GameStatus:
-        has_moves = bool(_mg.legal_moves(self._squares, self._stm,
-                                         self.castling.mask, self._ep))
+        has_moves = has_legal_move(self._squares, self._stm,
+                                   self.castling.mask, self._ep)
         if self.in_check():
             return GameStatus.CHECK if has_moves else GameStatus.CHECKMATE
         return GameStatus.ONGOING if has_moves else GameStatus.STALEMATE

@@ -72,6 +72,18 @@ def _int_option(args, config: dict, key: str, default) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _time_limit(rec: dict):
+    """The record's `time_limit_s`, None if absent, or ValueError unless
+    it is a positive number (a bool is not one)."""
+    if "time_limit_s" not in rec:
+        return None
+    value = rec["time_limit_s"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not value > 0:
+        raise ValueError(f"time_limit_s must be a positive number, got {value!r}")
+    return value
+
+
 def _load_puzzles(path: Path):
     puzzles = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -83,7 +95,7 @@ def _load_puzzles(path: Path):
                 "id": str(rec["id"]),
                 "fen": rec["fen"],
                 "mate_in": int(rec["mate_in"]),
-                "time_limit_s": rec.get("time_limit_s"),
+                "time_limit_s": _time_limit(rec),
             })
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{lineno}: bad puzzle record: {exc}") from exc
@@ -96,9 +108,11 @@ def _solve_one(payload):
     board = parse_fen(puzzle["fen"])
     ltm = LongTermMemory.load(ltm_text) if ltm_text else LongTermMemory()
     catalog = load_catalog(catalog_text) if catalog_text else load_catalog()
+    limit_s = puzzle["time_limit_s"]
     result = solve(board, puzzle["mate_in"], profile, ltm=ltm,
                    catalog=catalog, limits=limits, seed=seed,
-                   puzzle_id=puzzle["id"])
+                   puzzle_id=puzzle["id"],
+                   time_limit_ms=None if limit_s is None else limit_s * 1000)
     row = (puzzle["id"], result.verdict, " ".join(result.line),
            str(result.nodes), str(result.situations_investigated))
     return puzzle["id"], row, result.trace.to_jsonl(), result.verdict
@@ -141,7 +155,7 @@ def run_solve(args) -> int:
         puzzles = _load_puzzles(puzzles_path)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return 2
     ltm_text = Path(args.ltm).read_text() if args.ltm else None
     catalog_text = Path(args.catalog).read_text() if args.catalog else None
 

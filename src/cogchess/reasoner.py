@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import board as _board
-from .board import Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen
+from .board import (
+    Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen, has_legal_move,
+)
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
     EmotionTag, LongTermMemory, Entity, WorkingMemory, situation_signature,
@@ -362,17 +364,19 @@ def investigate(board: Board, situation: SituationModel, n: int,
             ordered = ([t for t in ordered if t[0][:3] in preferred]
                        + [t for t in ordered if t[0][:3] not in preferred])
         for m, child, check in ordered:
-            if movers_left == 1 and not check:
-                continue  # the last mover move must mate, so must check
+            if movers_left == 1:
+                # the last mover move must mate: a check with no reply
+                if check and not has_legal_move(*child[:4]):
+                    return [m]
+                continue
             replies = mg.legal_moves(*child[:4])
             if not replies:
                 if check:
                     return [m]
                 continue  # stalemate
-            if movers_left > 1:
-                reply_line = and_node(child, replies, movers_left - 1)
-                if reply_line is not None:
-                    return [m] + reply_line
+            reply_line = and_node(child, replies, movers_left - 1)
+            if reply_line is not None:
+                return [m] + reply_line
         return None
 
     def inner_or_node(state, movers_left: int) -> Optional[list]:
@@ -420,15 +424,16 @@ def _proves(mg, state, movers_left: int) -> bool:
     if movers_left < 1:
         return False
     for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
-        if movers_left == 1 and not check:
+        if movers_left == 1:
+            if check and not has_legal_move(*child[:4]):
+                return True
             continue
         replies = mg.legal_moves(*child[:4])
         if not replies:
             if check:
                 return True
             continue
-        if movers_left > 1 and all(
-                _proves(mg, _apply(mg, child, r), movers_left - 1) for r in replies):
+        if all(_proves(mg, _apply(mg, child, r), movers_left - 1) for r in replies):
             return True
     return False
 
@@ -472,13 +477,11 @@ def validate_line(board: Board, line, n: int) -> bool:
             return _proves(mg, state, movers_left)
         child = _apply(mg, state, _find(mg, state, script[0]))
         check = mg.in_check(child[0], child[1] == 0)
-        if movers_left == 1 and not check:
-            return False
+        if movers_left == 1:
+            return check and not has_legal_move(*child[:4])
         replies = mg.legal_moves(*child[:4])
         if not replies:
             return check
-        if movers_left == 1:
-            return False
         expected = script[1] if len(script) > 1 else None
         for reply in replies:
             after = _apply(mg, child, reply)
@@ -514,17 +517,22 @@ def solve(board: Board, n: int, profile: PlayerProfile,
           wm: Optional[WorkingMemory] = None,
           ltm: Optional[LongTermMemory] = None,
           catalog=None, limits: Optional[SolveLimits] = None,
-          seed: int = 0, puzzle_id: str = "") -> SolveResult:
+          seed: int = 0, puzzle_id: str = "",
+          time_limit_ms: Optional[float] = None) -> SolveResult:
     """Run the four reasoning phases on one puzzle.
 
-    A "solved" verdict always carries a validated line. The long-term
-    memory is updated in place: +1 for a situation whose own proposed move
-    opened the validated line, -1 for every situation that was refuted,
-    budget-exhausted, or rescued only by the fallback moves.
+    A "solved" verdict always carries a validated line. With a
+    `time_limit_ms`, no further situation is selected once the simulated
+    clock has reached it, just as when `max_total_nodes` is spent. The
+    long-term memory is updated in place: +1 for a situation whose own
+    proposed move opened the validated line, -1 for every situation that
+    was refuted, budget-exhausted, or rescued only by the fallback moves.
     Deterministic given identical inputs and seed.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"mate depth must be 1..6, got {n}")
+    if time_limit_ms is not None and not time_limit_ms > 0:
+        raise ValueError(f"time_limit_ms must be > 0, got {time_limit_ms}")
     limits = limits or SolveLimits()
     wm = wm or WorkingMemory(capacity=limits.wm_capacity)
     ltm = ltm or LongTermMemory()
@@ -581,6 +589,8 @@ def solve(board: Board, n: int, profile: PlayerProfile,
         if investigated >= limits.max_situations:
             break
         if nodes_total >= limits.max_total_nodes:
+            break
+        if time_limit_ms is not None and clock >= time_limit_ms:
             break
         budget = min(effort_budget(tag, profile),
                      limits.max_total_nodes - nodes_total)

@@ -140,6 +140,19 @@ def test_perft_start_known_values():
     assert b.perft(3) == 8902
 
 
+@pytest.mark.parametrize("fen, depth, count", [
+    # Chess Programming Wiki "Perft Results", positions 3, 4 and 5: a
+    # rank-pinned en passant, checks by promotion, discovered checks
+    ("8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1", 4, 43238),
+    ("r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1", 3, 9467),
+    ("rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8", 3, 62379),
+])
+def test_perft_cpw_positions(fen, depth, count):
+    b = parse_fen(fen)
+    assert b.perft(depth) == count
+    assert b.perft(2) == oracles.perft(oracles.from_board(b), 2)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_move_generator_matches_oracle(seed):
     b = random_playout(seed + 100, 10 + seed * 9)

@@ -102,6 +102,45 @@ def test_solve_rejects_non_integer_config_value(puzzle_file, tmp_path, capsys,
     assert not out.exists()
 
 
+# desk m3-004 at seed 7: the first situation runs out of budget at 751
+# nodes with the simulated clock at 821 ms; the second one solves it
+M3_004 = {"id": "m3-004", "fen": "k7/8/8/8/2K5/8/1Q6/8 w - - 0 1", "mate_in": 3}
+
+
+@pytest.mark.parametrize("limit_s, row, selected", [
+    (0.05, ["m3-004", "unsolved", "", "0", "0"], 0),
+    (0.8, ["m3-004", "unsolved", "", "751", "1"], 1),
+    (0.9, ["m3-004", "solved", "c4c5 a8a7 c5c6 a7a6 b2a1", "1197", "2"], 2),
+])
+def test_solve_stops_selecting_at_time_limit(tmp_path, limit_s, row, selected):
+    """No situation is selected once the simulated clock reaches the limit."""
+    puzzles = tmp_path / "p.jsonl"
+    puzzles.write_text(json.dumps(dict(M3_004, time_limit_s=limit_s)) + "\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--puzzles", str(puzzles), "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert (out / "verdicts.tsv").read_text().splitlines()[1].split("\t") == row
+    events = [json.loads(line)["event"] for line in
+              (out / "traces" / "m3-004.trace.jsonl").read_text().splitlines()[1:]]
+    assert events.count("selected") == selected
+    assert events[-1] == ("verdict" if row[1] == "solved" else "exhausted")
+
+
+@pytest.mark.parametrize("value", [0, -5, 0.0, "120", True, False, None,
+                                   float("nan"), [120]])
+def test_solve_rejects_bad_time_limit(tmp_path, capsys, value):
+    puzzles = tmp_path / "p.jsonl"
+    puzzles.write_text(json.dumps(dict(M3_004, time_limit_s=120)) + "\n"
+                       + json.dumps(dict(M3_004, time_limit_s=value)) + "\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--puzzles", str(puzzles), "--seed", "7",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{puzzles}:2: bad puzzle record: time_limit_s must be a "
+                   f"positive number, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", "--puzzles", str(tmp_path / "nope.jsonl"),
                  "--seed", "1", "--out", str(tmp_path / "x")]) == 1

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from cogchess import _movegen_py as pure
+from cogchess import board as _board
+from cogchess.board import parse_fen
 from sampling import playout_positions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,3 +89,64 @@ def test_in_check_identical(compiled):
     for b in playout_positions(8, seed=53):
         for white in (True, False):
             assert compiled.in_check(b._squares, white) == pure.in_check(b._squares, white)
+
+
+# Boards whose legality the pure kernel decides from pins, checkers and
+# evasion squares: FEN, moves that must be legal, moves that must not.
+SPECIAL = {
+    "checkmate": ("4R1k1/5ppp/8/8/8/8/8/7K b - - 0 1", (), ()),
+    "stalemate": ("7k/5Q2/6K1/8/8/8/8/8 b - - 0 1", (), ()),
+    "double check": ("4r1k1/8/8/8/8/3n4/8/R3K3 w - - 0 1",
+                     ("e1d1", "e1d2", "e1f1"), ("a1a8", "a1e1")),
+    "double-check mate": ("4r1k1/8/8/8/8/3n4/3P1P2/3QKB2 w - - 0 1", (), ()),
+    "check, block or step": ("4k3/8/8/8/8/8/3N4/r3K2R w K - 0 1",
+                             ("d2b1", "e1e2"), ("d2f3", "e1g1")),
+    "file and diagonal pins": ("4k3/4r3/8/b7/8/8/3BR3/4K3 w - - 0 1",
+                               ("d2a5", "e2e7"), ("d2e3", "e2d2")),
+    "pinned knight and pawn": ("4k3/8/8/8/1b6/6q1/3N1P2/4K3 w - - 0 1",
+                               ("f2g3",), ("d2f3", "f2f3")),
+    "en passant takes the checker": ("8/8/8/3pP3/4K3/8/8/k7 w - d6 0 2",
+                                     ("e5d6",), ("e5e6",)),
+    "en passant pinned along the rank": ("8/8/8/KPp4r/8/8/8/7k w - c6 0 2",
+                                         ("b5b6",), ("b5c6",)),
+    "black en passant pinned along the rank": (
+        "7K/8/8/8/R2Pp2k/8/8/8 b - d3 0 2", ("e4e3",), ("e4d3",)),
+}
+
+
+def _uci(move):
+    return _board._move_from_tuple(move).uci
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_legal_moves_identical_on_checks_and_pins(compiled, name):
+    fen, present, absent = SPECIAL[name]
+    st = _state(parse_fen(fen))
+    moves = pure.legal_moves(*st)
+    assert compiled.legal_moves(*st) == moves
+    ucis = {_uci(m) for m in moves}
+    assert set(present) <= ucis and not set(absent) & ucis
+    assert bool(moves) == bool(present)
+
+
+def _has_legal_move_cases():
+    boards = [parse_fen(fen) for fen, _, _ in SPECIAL.values()]
+    for b in playout_positions(12, seed=59):
+        boards.append(b)
+        # the children include the checks the playouts themselves rarely hit
+        boards.extend(b.apply_move(m) for m in b.legal_moves())
+    return [_state(b) for b in boards]
+
+
+def test_has_legal_move_matches_legal_moves(compiled, monkeypatch):
+    cases = _has_legal_move_cases()
+    assert any(not pure.legal_moves(*st) for st in cases)
+    for st in cases:
+        want = bool(compiled.legal_moves(*st))
+        assert bool(pure.legal_moves(*st)) == want
+        assert pure.has_legal_move(*st) is want
+    # the compiled kernel has no has_legal_move: `board` falls back to
+    # its legal_moves
+    monkeypatch.setattr(_board, "_mg", compiled)
+    for st in cases:
+        assert _board.has_legal_move(*st) == bool(compiled.legal_moves(*st))

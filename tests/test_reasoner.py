@@ -317,6 +317,22 @@ def test_solve_rejects_bad_depth():
         solve(b, 7, PROFILES["neutral"])
 
 
+def test_solve_time_limit_is_checked_before_each_situation():
+    """desk m3-004 selects its second situation at 821 simulated ms."""
+    b = parse_fen(DESK_FENS["m3-004"])
+    free = solve(b, 3, PROFILES["neutral"], seed=7, puzzle_id="m3-004")
+    assert [e.t_ms for e in free.trace.events if e.event == "selected"] == [70, 821]
+    cut = solve(b, 3, PROFILES["neutral"], seed=7, puzzle_id="m3-004",
+                time_limit_ms=821)
+    assert (cut.verdict, cut.nodes, cut.situations_investigated) == ("unsolved", 751, 1)
+    late = solve(b, 3, PROFILES["neutral"], seed=7, puzzle_id="m3-004",
+                 time_limit_ms=822)
+    assert late.trace.to_jsonl() == free.trace.to_jsonl()
+    for bad in (0, -1.5):
+        with pytest.raises(ValueError):
+            solve(b, 3, PROFILES["neutral"], time_limit_ms=bad)
+
+
 def test_solve_traces_are_byte_identical():
     b = parse_fen(MATE2_FEN)
     a = solve(b, 2, PROFILES["defensive"], seed=9, puzzle_id="p").trace.to_jsonl()
