@@ -21,6 +21,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 AU_TABLE_VERSION = 1
@@ -130,6 +132,12 @@ def _set_mean(frame: AUFrame, aus) -> float:
     return sum(frame.intensities.get(au, 0.0) for au in aus) / len(aus)
 
 
+def _mean(values: list) -> float:
+    """Left-to-right sum over the count (0.0 for none), as `compute_arousal`
+    sums: running sums would drift from it in the last bits."""
+    return sum(values) / len(values) if values else 0.0
+
+
 def classify_emotion(frame: AUFrame, table: dict) -> EmotionState:
     """Argmax emotion over the table's AU sets; neutral below threshold.
 
@@ -178,17 +186,19 @@ def _windows(times: List[int], window_ms: int) -> List[Tuple[int, int]]:
             for t in times]
 
 
+def _arousal_windows(times: List[int], means: List[float]) -> List[float]:
+    """Mean of the arousal-set means `means` over [t - 60 s, t] per time t."""
+    return [_mean(means[lo:hi]) for lo, hi in _windows(times, AROUSAL_WINDOW_MS)]
+
+
 def arousal_series(stream: List[AUFrame], table: dict) -> List[float]:
     """`compute_arousal(stream, f.t_ms, table)` for every frame f.
 
     `stream` must be sorted by time, as `parse_recording` leaves it
     (ValueError otherwise). Each frame's arousal-set mean is computed once.
     """
-    values = [_set_mean(f, table["arousal"]) for f in stream]
-    # sum each slice left to right, as compute_arousal does: running
-    # sums would drift from it in the last bits
-    return [sum(values[lo:hi]) / (hi - lo) for lo, hi
-            in _windows([f.t_ms for f in stream], AROUSAL_WINDOW_MS)]
+    return _arousal_windows([f.t_ms for f in stream],
+                            [_set_mean(f, table["arousal"]) for f in stream])
 
 
 def _segment_distance(p, a, b) -> float:
@@ -204,6 +214,33 @@ def _segment_distance(p, a, b) -> float:
     return math.dist(p, closest)
 
 
+def _touching(frame: SkeletonFrame) -> Optional[bool]:
+    """None for a partial frame, else whether a hand touches the head."""
+    if frame.partial:
+        return None
+    j = frame.joints
+    return any(_segment_distance(j["head"], j[f"{side}_elbow"], j[f"{side}_wrist"])
+               < TOUCH_DISTANCE_M for side in ("left", "right"))
+
+
+def _runs(pairs) -> List[tuple]:
+    """(value, t_first, t_last) per run of equal values in (t_ms, value) pairs."""
+    runs = []
+    for value, run in groupby(pairs, key=itemgetter(1)):
+        run = list(run)
+        runs.append((value, run[0][0], run[-1][0]))
+    return runs
+
+
+def _touch_events(times: List[int], touching: List[Optional[bool]]
+                  ) -> List[Tuple[int, int]]:
+    """Touch events from per-frame `_touching` values; a partial frame
+    (None) neither extends nor ends a run."""
+    pairs = [(t, flag) for t, flag in zip(times, touching) if flag is not None]
+    return [(first, last) for flag, first, last in _runs(pairs)
+            if flag and last - first >= TOUCH_DEBOUNCE_MS]
+
+
 def detect_self_touch_events(stream: List[SkeletonFrame],
                              report: Optional[QualityReport] = None
                              ) -> List[Tuple[int, int]]:
@@ -215,31 +252,10 @@ def detect_self_touch_events(stream: List[SkeletonFrame],
     dropped. Frames missing required joints are skipped and counted in
     the report.
     """
-    events = []
-    current_start = None
-    last_touch_t = None
-    for f in stream:
-        if f.partial:
-            if report is not None:
-                report.skipped_frames += 1
-            continue
-        head = f.joints["head"]
-        touching = (
-            _segment_distance(head, f.joints["left_elbow"], f.joints["left_wrist"])
-            < TOUCH_DISTANCE_M
-            or _segment_distance(head, f.joints["right_elbow"], f.joints["right_wrist"])
-            < TOUCH_DISTANCE_M)
-        if touching:
-            if current_start is None:
-                current_start = f.t_ms
-            last_touch_t = f.t_ms
-        else:
-            if current_start is not None:
-                events.append((current_start, last_touch_t))
-                current_start = None
-    if current_start is not None:
-        events.append((current_start, last_touch_t))
-    return [(s, e) for s, e in events if e - s >= TOUCH_DEBOUNCE_MS]
+    touching = [_touching(f) for f in stream]
+    if report is not None:
+        report.skipped_frames += touching.count(None)
+    return _touch_events([f.t_ms for f in stream], touching)
 
 
 def _angle_between(u, v) -> float:
@@ -325,16 +341,11 @@ def compute_body_volume(frame: SkeletonFrame) -> float:
     return vol
 
 
-def _runs(stream: List[AUFrame], table: dict) -> List[Tuple[str, int, int]]:
-    """Consecutive same-label runs as (label, t_first, t_last)."""
-    runs = []
-    for f in stream:
-        label = classify_emotion(f, table).label
-        if runs and runs[-1][0] == label:
-            runs[-1] = (label, runs[-1][1], f.t_ms)
-        else:
-            runs.append((label, f.t_ms, f.t_ms))
-    return runs
+def _emotion_changes(times: List[int], labels: List[str]) -> int:
+    """`count_emotion_changes` from each frame's time and label."""
+    surviving = [label for label, first, last in _runs(zip(times, labels))
+                 if last - first >= EMOTION_DWELL_MS]
+    return sum(a != b for a, b in zip(surviving, surviving[1:]))
 
 
 def count_emotion_changes(stream: List[AUFrame], table: dict) -> int:
@@ -344,14 +355,50 @@ def count_emotion_changes(stream: List[AUFrame], table: dict) -> int:
     before counting, so micro-expressions do not count as principal
     changes.
     """
-    surviving = [r for r in _runs(stream, table) if r[2] - r[1] >= EMOTION_DWELL_MS]
-    changes = 0
-    prev = None
-    for label, _, _ in surviving:
-        if prev is not None and label != prev:
-            changes += 1
-        prev = label
-    return changes
+    return _emotion_changes([f.t_ms for f in stream],
+                            [classify_emotion(f, table).label for f in stream])
+
+
+def analyze_session(session, table: dict) -> tuple:
+    """(task stats, AU rows, skeleton rows, touch events, QualityReport) of
+    a parsed session: what `cogchess analyze` writes. An AU row is (t_ms,
+    valence, arousal_60s, label); a skeleton row, one per complete frame,
+    is (t_ms, body volume, agitation). Each per-frame value is computed
+    once and read by all five. Raises ValueError as `task_stats` does."""
+    from .ingest import segment_tasks  # late import to avoid a cycle
+
+    au, sk, pupil = session.au_stream, session.skeleton_stream, session.pupil_stream
+    au_times = _sorted_times([f.t_ms for f in au])
+    sk_times = _sorted_times([f.t_ms for f in sk])
+    pupil_times = _sorted_times([t for t, _ in pupil])
+    valence = [compute_valence(f, table) for f in au]
+    arousal = [_set_mean(f, table["arousal"]) for f in au]
+    labels = [classify_emotion(f, table).label for f in au]
+    touching = [_touching(f) for f in sk]
+
+    tasks = []
+    for task_id, t0, t1 in segment_tasks(session):
+        a = slice(bisect_left(au_times, t0), bisect_left(au_times, t1))
+        s = slice(bisect_left(sk_times, t0), bisect_left(sk_times, t1))
+        diameters = [d for _, d in pupil[bisect_left(pupil_times, t0):
+                                         bisect_left(pupil_times, t1)]]
+        tasks.append(TaskStats(
+            task_id, t0, t1,
+            self_touch_count=len(_touch_events(sk_times[s], touching[s])),
+            emotion_change_count=_emotion_changes(au_times[a], labels[a]),
+            mean_valence=_mean(valence[a]), mean_arousal=_mean(arousal[a]),
+            mean_pupil_mm=_mean(diameters) if diameters else None))
+
+    quality = QualityReport(skipped_frames=touching.count(None),
+                            bad_lines=len(session.line_errors),
+                            out_of_order_streams=len(session.resorted))
+    usable = [f for f, flag in zip(sk, touching) if flag is not None]
+    agitation = agitation_series(usable, report=quality)
+    return (tasks,
+            list(zip(au_times, valence, _arousal_windows(au_times, arousal), labels)),
+            [(f.t_ms, compute_body_volume(f), g) for f, g in zip(usable, agitation)],
+            _touch_events(sk_times, touching),
+            quality)
 
 
 def task_stats(session, table: dict) -> List[TaskStats]:
@@ -362,31 +409,4 @@ def task_stats(session, table: dict) -> List[TaskStats]:
     streams to [t_start, t_end); they must be sorted by time, as
     `parse_recording` leaves them (ValueError otherwise).
     """
-    from .ingest import segment_tasks  # late import to avoid a cycle
-
-    def sliced(stream, times, t0, t1):
-        return stream[bisect_left(times, t0):bisect_left(times, t1)]
-
-    au_times = _sorted_times([f.t_ms for f in session.au_stream])
-    sk_times = _sorted_times([f.t_ms for f in session.skeleton_stream])
-    pupil_times = _sorted_times([t for t, _ in session.pupil_stream])
-    out = []
-    for task_id, t0, t1 in segment_tasks(session):
-        au = sliced(session.au_stream, au_times, t0, t1)
-        sk = sliced(session.skeleton_stream, sk_times, t0, t1)
-        touches = detect_self_touch_events(sk)
-        changes = count_emotion_changes(au, table)
-        valences = [compute_valence(f, table) for f in au]
-        arousals = [_set_mean(f, table["arousal"]) for f in au]
-        pupil = [d for _, d in sliced(session.pupil_stream, pupil_times, t0, t1)]
-        out.append(TaskStats(
-            task_id=task_id,
-            t_start_ms=t0,
-            t_end_ms=t1,
-            self_touch_count=len(touches),
-            emotion_change_count=changes,
-            mean_valence=sum(valences) / len(valences) if valences else 0.0,
-            mean_arousal=sum(arousals) / len(arousals) if arousals else 0.0,
-            mean_pupil_mm=sum(pupil) / len(pupil) if pupil else None,
-        ))
-    return out
+    return analyze_session(session, table)[0]

@@ -408,8 +408,17 @@ def parse_fen(text: str) -> Board:
             ep_sq = Square.from_name(ep)
         except ValueError as exc:
             raise FenError("bad-en-passant", str(exc)) from exc
-        if ep_sq.rank not in (3, 6):
-            raise FenError("bad-en-passant", f"en-passant square {ep} not on rank 3/6")
+        # the square a pawn of the side not to move just passed over
+        rank, step = (6, -8) if side is Color.WHITE else (3, 8)
+        if ep_sq.rank != rank:
+            raise FenError("bad-en-passant",
+                           f"en-passant square {ep} not on rank {rank} "
+                           f"with {side.value} to move")
+        if ep_sq.index in at:
+            raise FenError("bad-en-passant", f"en-passant square {ep} is occupied")
+        if at.get(ep_sq.index + step) != (PieceKind.PAWN, side.other):
+            raise FenError("bad-en-passant",
+                           f"no {side.other.value} pawn passed over {ep}")
 
     try:
         half = int(halfmove)

@@ -16,18 +16,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
-from .affect import QualityReport, agitation_series, arousal_series, \
-    classify_emotion, compute_body_volume, compute_valence, \
-    detect_self_touch_events, load_au_table, task_stats
-# The single-window queries stay importable from here: the benchmark's
-# layer spans look them up on this module by name.
-from .affect import compute_agitation, compute_arousal  # noqa: F401
+from .affect import analyze_session, load_au_table
+# The benchmark's layer spans look these up on this module by name.
+from .affect import classify_emotion, compute_agitation, compute_arousal, \
+    detect_self_touch_events, task_stats  # noqa: F401
 from .board import parse_fen
 from .chunks import load_catalog
 from .ingest import parse_recording
 from .memory import LongTermMemory, WorkingMemory
 from .reasoner import PROFILES, PlayerProfile, SolveLimits, \
-    check_entity_cap, solve
+    check_entity_cap, check_mate_depth, solve
 
 VERDICT_COLUMNS = ("id", "verdict", "line", "nodes", "situations")
 STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
@@ -41,6 +39,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
+
+
+def _write_tsv(path: Path, columns, rows) -> None:
+    """A header line of `columns`, then each row's values through `_fmt`."""
+    lines = ["\t".join(columns)] + ["\t".join(map(_fmt, r)) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _read_config(path):
@@ -57,12 +61,11 @@ def _merged(args, config: dict, key: str, default):
     return config.get(key, default)
 
 
-def _int_option(args, config: dict, key: str, default) -> int:
-    """`_merged` as an int, or ValueError naming `key`.
+def _integer(key: str, value) -> int:
+    """`value` as an int, or ValueError naming `key`.
 
     A bool, or a float that is not whole, is rejected rather than truncated.
     """
-    value = _merged(args, config, key, default)
     if not isinstance(value, bool) and not (
             isinstance(value, float) and not value.is_integer()):
         try:
@@ -70,6 +73,10 @@ def _int_option(args, config: dict, key: str, default) -> int:
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _int_option(args, config: dict, key: str, default) -> int:
+    return _integer(key, _merged(args, config, key, default))
 
 
 def _time_limit(rec: dict):
@@ -85,16 +92,24 @@ def _time_limit(rec: dict):
 
 
 def _load_puzzles(path: Path):
+    """The records of a JSONL puzzle file, each checked as `solve` would
+    check it; ValueError naming the first bad line."""
     puzzles = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object, got {rec!r}")
+            if not isinstance(rec["fen"], str):
+                raise ValueError(f"fen must be a string, got {rec['fen']!r}")
+            mate_in = _integer("mate_in", rec["mate_in"])
+            check_mate_depth(mate_in)
             puzzles.append({
                 "id": str(rec["id"]),
-                "fen": rec["fen"],
-                "mate_in": int(rec["mate_in"]),
+                "board": parse_fen(rec["fen"]),
+                "mate_in": mate_in,
                 "time_limit_s": _time_limit(rec),
             })
         except (ValueError, KeyError) as exc:
@@ -105,11 +120,10 @@ def _load_puzzles(path: Path):
 def _solve_one(payload):
     """Solve a single puzzle; top-level so --jobs can pickle it."""
     puzzle, profile, limits, seed, ltm_text, catalog_text = payload
-    board = parse_fen(puzzle["fen"])
     ltm = LongTermMemory.load(ltm_text) if ltm_text else LongTermMemory()
     catalog = load_catalog(catalog_text) if catalog_text else load_catalog()
     limit_s = puzzle["time_limit_s"]
-    result = solve(board, puzzle["mate_in"], profile, ltm=ltm,
+    result = solve(puzzle["board"], puzzle["mate_in"], profile, ltm=ltm,
                    catalog=catalog, limits=limits, seed=seed,
                    puzzle_id=puzzle["id"],
                    time_limit_ms=None if limit_s is None else limit_s * 1000)
@@ -179,9 +193,7 @@ def run_solve(args) -> int:
         total_nodes += int(row[3])
         (traces_dir / f"{puzzle_id}.trace.jsonl").write_text(trace_text)
 
-    table = "\t".join(VERDICT_COLUMNS) + "\n"
-    table += "".join("\t".join(r) + "\n" for r in rows)
-    (out_dir / "verdicts.tsv").write_text(table)
+    _write_tsv(out_dir / "verdicts.tsv", VERDICT_COLUMNS, rows)
     summary = (f"puzzles\t{len(rows)}\nsolved\t{solved}\n"
                f"total_nodes\t{total_nodes}\nseed\t{seed}\n")
     (out_dir / "summary.txt").write_text(summary)
@@ -200,49 +212,26 @@ def run_analyze(args) -> int:
     table = load_au_table(Path(args.au_table).read_text()) if args.au_table \
         else load_au_table()
 
-    try:
+    try:  # everything is computed before writing: no partial outputs
         session = parse_recording(rec_path.read_text())
-        stats = task_stats(session, table)
+        stats, au_rows, skeleton_rows, touches, quality = \
+            analyze_session(session, table)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
-    # compute everything before writing: no partial outputs on failure
-    quality = QualityReport(bad_lines=len(session.line_errors),
-                            out_of_order_streams=len(session.resorted))
-    arousal = arousal_series(session.au_stream, table)
-    au_rows = [(f.t_ms, compute_valence(f, table), a, classify_emotion(f, table).label)
-               for f, a in zip(session.au_stream, arousal)]
-    usable = [f for f in session.skeleton_stream if not f.partial]
-    agitation = agitation_series(usable, report=quality)
-    skeleton_rows = [(f.t_ms, compute_body_volume(f), a)
-                     for f, a in zip(usable, agitation)]
-    touches = detect_self_touch_events(session.skeleton_stream, report=quality)
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(STATS_COLUMNS)]
-    for s in stats:
-        lines.append("\t".join(_fmt(v) for v in (
-            s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms,
-            s.self_touch_count, s.emotion_change_count,
-            s.mean_valence, s.mean_arousal, s.mean_pupil_mm)))
-    (out_dir / "task_stats.tsv").write_text("\n".join(lines) + "\n")
-
-    lines = ["t_ms\tvalence\tarousal_60s\temotion"]
-    lines += [f"{t}\t{_fmt(v)}\t{_fmt(a)}\t{e}" for t, v, a, e in au_rows]
-    (out_dir / "au_series.tsv").write_text("\n".join(lines) + "\n")
-
-    lines = ["t_ms\tbody_volume_m3\tagitation_rad_s"]
-    lines += [f"{t}\t{_fmt(v)}\t{_fmt(a)}" for t, v, a in skeleton_rows]
-    (out_dir / "skeleton_series.tsv").write_text("\n".join(lines) + "\n")
-
-    lines = ["start_ms\tend_ms"]
-    lines += [f"{s}\t{e}" for s, e in touches]
-    (out_dir / "touch_events.tsv").write_text("\n".join(lines) + "\n")
-
-    lines = ["measure\tcount"]
-    lines += [f"{q.name}\t{getattr(quality, q.name)}" for q in fields(quality)]
-    (out_dir / "quality.tsv").write_text("\n".join(lines) + "\n")
+    _write_tsv(out_dir / "task_stats.tsv", STATS_COLUMNS, [
+        (s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms, s.self_touch_count,
+         s.emotion_change_count, s.mean_valence, s.mean_arousal, s.mean_pupil_mm)
+        for s in stats])
+    _write_tsv(out_dir / "au_series.tsv",
+               ("t_ms", "valence", "arousal_60s", "emotion"), au_rows)
+    _write_tsv(out_dir / "skeleton_series.tsv",
+               ("t_ms", "body_volume_m3", "agitation_rad_s"), skeleton_rows)
+    _write_tsv(out_dir / "touch_events.tsv", ("start_ms", "end_ms"), touches)
+    _write_tsv(out_dir / "quality.tsv", ("measure", "count"),
+               [(q.name, getattr(quality, q.name)) for q in fields(quality)])
 
     for lineno, message in session.line_errors:
         print(f"warning: line {lineno}: {message}", file=sys.stderr)

@@ -195,6 +195,12 @@ def check_entity_cap(cap: int) -> None:
         raise ValueError(f"entity cap must be 2..4, got {cap}")
 
 
+def check_mate_depth(n: int) -> None:
+    """ValueError unless `n` is a mate depth `solve` accepts."""
+    if not 1 <= n <= 6:
+        raise ValueError(f"mate depth must be 1..6, got {n}")
+
+
 def enumerate_situations(board: Board, relations, pool, cover,
                          cap: int = ENTITY_CAP) -> list:
     """Candidate situation models, deterministically pre-ranked.
@@ -529,8 +535,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     was refuted, budget-exhausted, or rescued only by the fallback moves.
     Deterministic given identical inputs and seed.
     """
-    if not 1 <= n <= 6:
-        raise ValueError(f"mate depth must be 1..6, got {n}")
+    check_mate_depth(n)
     if time_limit_ms is not None and not time_limit_ms > 0:
         raise ValueError(f"time_limit_ms must be > 0, got {time_limit_ms}")
     limits = limits or SolveLimits()

@@ -49,6 +49,19 @@ def test_parse_rejects_side_not_to_move_in_check():
     assert e.value.code == "side-not-to-move-in-check"
 
 
+@pytest.mark.parametrize("fen", [
+    "4k3/8/Q7/1P6/8/8/8/4K3 w - a6 0 1",  # occupied: b5a6 would stack on a6
+    "4k3/8/8/8/4pP2/8/8/4K3 w - f3 0 1",  # rank 3 with white to move
+    "4k3/8/8/8/4Pp2/8/8/4K3 b - f6 0 1",  # rank 6 with black to move
+    "4k3/8/8/1p6/8/8/8/4K3 w - c6 0 1",  # no black pawn on c5
+    "4k3/8/8/8/4p3/8/8/4K3 b - e3 0 1",  # the pawn on e4 is black's own
+])
+def test_parse_rejects_inconsistent_en_passant(fen):
+    with pytest.raises(FenError) as e:
+        parse_fen(fen)
+    assert e.value.code == "bad-en-passant"
+
+
 def test_fen_round_trip_start():
     assert emit_fen(parse_fen(START_FEN)) == START_FEN
 

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from cli_child import run_cli
+from cogchess import affect, cli
 from cogchess.cli import main
-from cogchess.ingest import serialize_recording, RecordingSession
+from cogchess.ingest import parse_recording, serialize_recording, RecordingSession
 from fixtures_affect import emotion_change_stream, skeleton_frame, touch_stream
 from genrecording import BAD_LINES, PLANTED, make_recording
 
@@ -141,6 +142,31 @@ def test_solve_rejects_bad_time_limit(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("record, reason", [
+    ([1, 2], "expected a JSON object, got [1, 2]"),
+    (dict(M3_004, mate_in=True), "mate_in must be an integer, got True"),
+    (dict(M3_004, mate_in=1.9), "mate_in must be an integer, got 1.9"),
+    (dict(M3_004, mate_in="three"), "mate_in must be an integer, got 'three'"),
+    (dict(M3_004, mate_in=None), "mate_in must be an integer, got None"),
+    (dict(M3_004, mate_in=0), "mate depth must be 1..6, got 0"),
+    (dict(M3_004, mate_in=7), "mate depth must be 1..6, got 7"),
+    (dict(M3_004, fen=M3_004["fen"] + " 1"),
+     "field-count: expected 6 fields, got 7"),
+    (dict(M3_004, fen="4k3/8/Q7/1P6/8/8/8/4K3 w - a6 0 1"),
+     "bad-en-passant: en-passant square a6 is occupied"),
+    (dict(M3_004, fen=None), "fen must be a string, got None"),
+])
+def test_solve_rejects_bad_puzzle_record(tmp_path, capsys, record, reason):
+    """Every record is checked before any puzzle is solved."""
+    puzzles = tmp_path / "p.jsonl"
+    puzzles.write_text(json.dumps(M3_004) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--puzzles", str(puzzles), "--seed", "7",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"{puzzles}:2: bad puzzle record: {reason}\n")
+    assert not out.exists()
+
+
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", "--puzzles", str(tmp_path / "nope.jsonl"),
                  "--seed", "1", "--out", str(tmp_path / "x")]) == 1
@@ -251,6 +277,33 @@ def test_analyze_quality_report(tmp_path, capsys):
     for lineno in linenos:
         assert f"warning: line {lineno}: " in err
     assert "warning: au_stream records arrived out of order; sorted" in err
+
+
+def test_analyze_computes_each_frame_once(tmp_path, monkeypatch):
+    """One label per AU frame and one touch test (at most two segment
+    distances) per complete skeleton frame, over the whole analysis."""
+    calls = {"classify_emotion": 0, "_segment_distance": 0}
+
+    def counting(name):
+        fn = getattr(affect, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(affect, name, counting(name))
+    # cli imports classify_emotion by name: calls through it count too
+    monkeypatch.setattr(cli, "classify_emotion", affect.classify_emotion)
+    text = make_recording(7)
+    rec = tmp_path / "planted.rec"
+    rec.write_text(text)
+    assert main(["analyze", "--recording", str(rec), "--out", str(tmp_path / "o")]) == 0
+    session = parse_recording(text)
+    complete = sum(not f.partial for f in session.skeleton_stream)
+    assert calls["classify_emotion"] == len(session.au_stream)
+    assert complete <= calls["_segment_distance"] <= 2 * complete
 
 
 def test_trace_pretty_print(puzzle_file, tmp_path, capsys):
