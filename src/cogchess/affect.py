@@ -118,11 +118,16 @@ def load_au_table(source=None) -> dict:
     if source is None:
         source = resources.files("cogchess").joinpath("data/au_table.json").read_text()
     table = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(table, dict):
+        raise ValueError("mapping table must be a JSON object")
     if table.get("table_version") != AU_TABLE_VERSION:
         raise ValueError(f"unsupported table_version {table.get('table_version')!r}")
     for key in ("emotions", "positive", "negative", "arousal"):
         if key not in table:
             raise ValueError(f"mapping table missing {key!r}")
+    if not (isinstance(table["emotions"], dict)
+            and set(EMOTION_LABELS[:-1]) <= table["emotions"].keys()):
+        raise ValueError("mapping table emotions must map every emotion label")
     return table
 
 

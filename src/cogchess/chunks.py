@@ -5,27 +5,33 @@ the reasoner. Three built-in patterns are always present:
 
 * ``wall-of-pawns``: maximal set of >= 3 same-color pawns on consecutive
   files, each within one rank of its file-neighbor.
-* ``battery``: two same-color sliding pieces on a shared clear line whose
-  orientation both can slide along, so the rear piece protects the front.
-* ``trapped-king``: a king with at most one safe adjacent square, where at
-  least one escape square is denied by exactly one enemy piece; members
-  are the king plus those single deniers, and the chunk belongs to the
-  trapping side.
+* ``battery``: two same-color sliding pieces that protect each other.
+  A slider's attacks stop at the first piece on each of its lines, so
+  this is a shared clear line that both can slide along.
+* ``trapped-king``: a king with at most one safe escape square (a square
+  it attacks that no piece of its own holds), where at least one escape
+  square is denied by exactly one enemy piece; members are the king plus
+  those single deniers, and the chunk belongs to the trapping side.
 
 Additional patterns come from a JSON catalog document (see
 ``load_catalog``). Catalog patterns are declarative: a list of piece
 slots at fixed offsets from an anchor slot, plus relation constraints
 that must hold among the slots.
+
+Recognition reads the one relation set the solve extracted
+(``recognize_chunks`` takes it as an argument): batteries and relation
+constraints are looked up in it, never extracted again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .board import Board, Color, PieceKind, Square
-from .relations import extract_relations
+# The benchmark's layer spans look this up on this module by name.
+from .relations import extract_relations  # noqa: F401
 
 CATALOG_VERSION = 1
 
@@ -102,7 +108,13 @@ def load_catalog(source=None) -> list:
     if doc.get("catalog_version") != CATALOG_VERSION:
         raise CatalogError("<document>", "catalog_version",
                            f"expected {CATALOG_VERSION}, got {doc.get('catalog_version')!r}")
-    for enc in doc.get("patterns", []):
+    encoded = doc.get("patterns", [])
+    if not isinstance(encoded, list):
+        raise CatalogError("<document>", "patterns", "must be a list")
+    for i, enc in enumerate(encoded):
+        if not isinstance(enc, dict):
+            raise CatalogError("<document>", f"patterns[{i}]",
+                               "pattern must be a JSON object")
         patterns.append(_parse_pattern(enc))
     names = [p.name for p in patterns]
     if len(set(names)) != len(names):
@@ -126,17 +138,21 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
         raise CatalogError(name, "slots", "at least 2 slots required")
     slots = []
     for i, s in enumerate(raw_slots):
+        if not isinstance(s, dict):
+            raise CatalogError(name, f"slots[{i}]", "slot must be a JSON object")
         kinds = s.get("kind", "any")
         if kinds == "any":
-            kind_tuple = tuple(PieceKind)
-        else:
-            if isinstance(kinds, str):
-                kinds = [kinds]
-            try:
-                kind_tuple = tuple(_KIND_BY_NAME[k] for k in kinds)
-            except KeyError as exc:
-                raise CatalogError(name, f"slots[{i}].kind",
-                                   f"unknown piece kind {exc.args[0]!r}") from exc
+            kinds = list(_KIND_BY_NAME)
+        elif isinstance(kinds, str):
+            kinds = [kinds]
+        if not isinstance(kinds, list) or not kinds:
+            raise CatalogError(name, f"slots[{i}].kind",
+                               "expected a piece kind or a list of them")
+        unknown = [k for k in kinds if not isinstance(k, str) or k not in _KIND_BY_NAME]
+        if unknown:
+            raise CatalogError(name, f"slots[{i}].kind",
+                               f"unknown piece kind {unknown[0]!r}")
+        kind_tuple = tuple(_KIND_BY_NAME[k] for k in kinds)
         offset = s.get("offset")
         if i == 0:
             if offset is not None:
@@ -149,8 +165,11 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
             offset = (offset[0], offset[1])
         slots.append(SlotSpec(kind_tuple, offset if i else None))
 
+    raw_constraints = enc.get("relations", [])
+    if not isinstance(raw_constraints, list):
+        raise CatalogError(name, "relations", "must be a list")
     constraints = []
-    for j, c in enumerate(enc.get("relations", [])):
+    for j, c in enumerate(raw_constraints):
         if not isinstance(c, list) or len(c) not in (3, 4):
             raise CatalogError(name, f"relations[{j}]",
                                "expected [subj, name, obj] or [subj, 'pins', obj1, obj2]")
@@ -175,22 +194,25 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
     return ChunkPattern(name, role, tuple(slots), tuple(constraints))
 
 
-def recognize_chunks(board: Board, catalog) -> list:
+def recognize_chunks(board: Board, catalog, relations) -> list:
     """Every maximal match of every catalog pattern, exactly once.
 
+    `relations` are the board's base relations (`extract_relations`);
+    batteries and relation constraints are read from them.
     Deterministic order: pattern name, then anchor square, then members.
     """
+    held = {(r.name, r.subject, r.objects) for r in relations}
     found = []
     for pattern in catalog:
         if pattern.builtin:
             if pattern.name == "wall-of-pawns":
                 found.extend(_match_walls(board))
             elif pattern.name == "battery":
-                found.extend(_match_batteries(board))
+                found.extend(_match_batteries(board, held))
             elif pattern.name == "trapped-king":
                 found.extend(_match_trapped_kings(board))
         else:
-            found.extend(_match_declarative(board, pattern))
+            found.extend(_match_declarative(board, pattern, held))
     found.sort(key=lambda c: (c.pattern, c.anchor.name, c.members))
     return found
 
@@ -233,66 +255,36 @@ def _match_walls(board: Board) -> list:
             if any(ids < other for other in member_sets):
                 continue  # strict subset of another wall
             out.append(_instance("wall-of-pawns", chain, color))
-    return _dedupe(out)
+    return out
 
 
-def _match_batteries(board: Board) -> list:
-    out = []
+def _match_batteries(board: Board, held: set) -> list:
     sliders = [p for p in board.pieces if p.kind in _SLIDERS]
-    for i, a in enumerate(sliders):
-        for b in sliders[i + 1:]:
-            if a.color is not b.color:
-                continue
-            df = b.square.file - a.square.file
-            dr = b.square.rank - a.square.rank
-            orth = df == 0 or dr == 0
-            diag = abs(df) == abs(dr) and df != 0
-            if not (orth or diag):
-                continue
-            line_ok = all(
-                (orth and p.kind in (PieceKind.ROOK, PieceKind.QUEEN))
-                or (diag and p.kind in (PieceKind.BISHOP, PieceKind.QUEEN))
-                for p in (a, b))
-            if line_ok and _clear_between(board, a.square, b.square):
-                out.append(_instance("battery", [a, b], a.color))
-    return _dedupe(out)
+    return [_instance("battery", [a, b], a.color)
+            for i, a in enumerate(sliders) for b in sliders[i + 1:]
+            if ("protects", a.id, (b.id,)) in held
+            and ("protects", b.id, (a.id,)) in held]
 
 
 def _match_trapped_kings(board: Board) -> list:
     out = []
-    by_index = {p.square.index: p for p in board.pieces}
     for king in board.pieces:
         if king.kind is not PieceKind.KING:
             continue
         enemy = king.color.other
-        escapes = []
-        for df in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if df == 0 and dr == 0:
-                    continue
-                f, r = king.square.file + df, king.square.rank + dr
-                if not (1 <= f <= 8 and 1 <= r <= 8):
-                    continue
-                sq = Square(f, r)
-                occupant = by_index.get(sq.index)
-                if occupant and occupant.color is king.color:
-                    continue
-                escapes.append(sq)
-        safe = [e for e in escapes if not board.attackers_of(e, enemy)]
-        if len(safe) > 1:
+        own = {p.square for p in board.pieces if p.color is king.color}
+        attackers = [board.attackers_of(e, enemy)
+                     for e in board.attack_squares(king.square) if e not in own]
+        if sum(1 for a in attackers if not a) > 1:
             continue
-        deniers = set()
-        for e in escapes:
-            attackers = board.attackers_of(e, enemy)
-            if len(attackers) == 1:
-                deniers.add(attackers[0])
+        deniers = {a[0] for a in attackers if len(a) == 1}
         if deniers:
             out.append(_instance("trapped-king", [king] + sorted(
                 deniers, key=lambda p: p.square.name), enemy))
-    return _dedupe(out)
+    return out
 
 
-def _match_declarative(board: Board, pattern: ChunkPattern) -> list:
+def _match_declarative(board: Board, pattern: ChunkPattern, held: set) -> list:
     out = []
     if pattern.color_role == "own":
         colors = (board.side_to_move,)
@@ -302,63 +294,27 @@ def _match_declarative(board: Board, pattern: ChunkPattern) -> list:
         colors = (Color.WHITE, Color.BLACK)
 
     by_index = {p.square.index: p for p in board.pieces}
-    rels = None
     for color in colors:
         mirror = -1 if color is Color.BLACK else 1
         for anchor in board.pieces:
             if anchor.color is not color or anchor.kind not in pattern.piece_slots[0].kinds:
                 continue
             members = [anchor]
-            ok = True
             for slot in pattern.piece_slots[1:]:
                 f = anchor.square.file + slot.offset[0]
                 r = anchor.square.rank + mirror * slot.offset[1]
-                if not (1 <= f <= 8 and 1 <= r <= 8):
-                    ok = False
-                    break
-                p = by_index.get((r - 1) * 8 + (f - 1))
+                p = by_index.get((r - 1) * 8 + (f - 1)) \
+                    if 1 <= f <= 8 and 1 <= r <= 8 else None
                 if p is None or p.color is not color or p.kind not in slot.kinds:
-                    ok = False
                     break
                 members.append(p)
-            if not ok:
-                continue
-            if pattern.relation_constraints:
-                if rels is None:
-                    rels = {(x.name, x.subject, x.objects)
-                            for x in extract_relations(board)}
-                if not all(_constraint_holds(c, members, rels)
-                           for c in pattern.relation_constraints):
-                    continue
-            out.append(_instance(pattern.name, members, color))
-    return _dedupe(out)
-
-
-def _constraint_holds(constraint, members, rels) -> bool:
-    if constraint[1] == "pins":
-        subj, _, o1, o2 = constraint
-        return ("pins", members[subj].id, (members[o1].id, members[o2].id)) in rels
-    subj, name, obj = constraint
-    return (name, members[subj].id, (members[obj].id,)) in rels
-
-
-def _clear_between(board: Board, a: Square, b: Square) -> bool:
-    df = (b.file > a.file) - (b.file < a.file)
-    dr = (b.rank > a.rank) - (b.rank < a.rank)
-    f, r = a.file + df, a.rank + dr
-    while (f, r) != (b.file, b.rank):
-        if board.piece_at(Square(f, r)) is not None:
-            return False
-        f, r = f + df, r + dr
-    return True
-
-
-def _dedupe(instances: list) -> list:
-    seen = set()
-    out = []
-    for c in instances:
-        key = (c.pattern, c.members)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
+            else:  # every slot is filled
+                if all(_constraint_holds(c, members, held)
+                       for c in pattern.relation_constraints):
+                    out.append(_instance(pattern.name, members, color))
     return out
+
+
+def _constraint_holds(constraint, members, held) -> bool:
+    subj, name, *objs = constraint
+    return (name, members[subj].id, tuple(members[o].id for o in objs)) in held

@@ -47,10 +47,24 @@ def _write_tsv(path: Path, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_config(path):
+def _side_file(path, what: str, load) -> tuple:
+    """`(text, load(text))` of the side file at `path`, `(None, None)` when
+    no path is given; ValueError naming the file when it cannot be read or
+    `load` rejects it."""
     if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
+        return None, None
+    try:
+        text = Path(path).read_text()
+        return text, load(text)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad {what} file {path}: {exc}") from exc
+
+
+def _config(text: str) -> dict:
+    config = json.loads(text)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    return config
 
 
 def _merged(args, config: dict, key: str, default):
@@ -133,7 +147,13 @@ def _solve_one(payload):
 
 
 def run_solve(args) -> int:
-    config = _read_config(args.config)
+    try:  # each side file is read and checked once, before any solve
+        config = _side_file(args.config, "config", _config)[1] or {}
+        ltm_text = _side_file(args.ltm, "ltm", LongTermMemory.load)[0]
+        catalog_text = _side_file(args.catalog, "catalog", load_catalog)[0]
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     seed = _merged(args, config, "seed", None)
     if seed is None:
         print("solve requires --seed for reproducibility", file=sys.stderr)
@@ -170,8 +190,6 @@ def run_solve(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    ltm_text = Path(args.ltm).read_text() if args.ltm else None
-    catalog_text = Path(args.catalog).read_text() if args.catalog else None
 
     payloads = [(p, player, limits, seed, ltm_text, catalog_text)
                 for p in puzzles]
@@ -203,14 +221,18 @@ def run_solve(args) -> int:
 
 
 def run_analyze(args) -> int:
-    config = _read_config(args.config)
+    try:
+        config = _side_file(args.config, "config", _config)[1] or {}
+        table = _side_file(args.au_table, "AU table", load_au_table)[1] \
+            or load_au_table()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     rec_path = Path(_merged(args, config, "recording", ""))
     if not rec_path.is_file():
         print(f"recording file not found: {rec_path}", file=sys.stderr)
         return 1
     out_dir = Path(_merged(args, config, "out", "out"))
-    table = load_au_table(Path(args.au_table).read_text()) if args.au_table \
-        else load_au_table()
 
     try:  # everything is computed before writing: no partial outputs
         session = parse_recording(rec_path.read_text())
@@ -247,11 +269,16 @@ def run_trace(args) -> int:
         print(f"trace file not found: {path}", file=sys.stderr)
         return 1
     lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
+    try:
+        if not lines:
+            raise ValueError("empty file")
+        header, *events = [json.loads(line) for line in lines]
+    except ValueError as exc:
+        print(f"bad trace file {path}: {exc}", file=sys.stderr)
+        return 1
     print(f"puzzle={header.get('puzzle')} fen={header.get('fen')!r} "
           f"mate_in={header.get('mate_in')} profile={header.get('profile')}")
-    for line in lines[1:]:
-        e = json.loads(line)
+    for e in events:
         episode = "-" if e["episode"] is None else e["episode"]
         detail = {k: v for k, v in e["data"].items()
                   if not isinstance(v, (list, dict))}

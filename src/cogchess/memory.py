@@ -199,12 +199,19 @@ class LongTermMemory:
     @classmethod
     def load(cls, text: str) -> "LongTermMemory":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("long-term memory must be a JSON object")
         if doc.get("ltm_version") != LTM_VERSION:
             raise ValueError(f"unsupported ltm_version {doc.get('ltm_version')!r}")
-        ltm = cls(alpha=doc["alpha"], k=doc["k"])
-        for key, t in doc["entries"].items():
-            ltm.entries[key] = EmotionTag(t["valence"], t["arousal"],
-                                          t["dominance"], t["visits"])
+        try:
+            ltm = cls(alpha=doc["alpha"], k=doc["k"])
+            for key, t in doc["entries"].items():
+                ltm.entries[key] = EmotionTag(t["valence"], t["arousal"],
+                                              t["dominance"], t["visits"])
+        except KeyError as exc:
+            raise ValueError(f"long-term memory missing {exc.args[0]!r}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed long-term memory: {exc}") from None
         return ltm
 
 

@@ -1,7 +1,7 @@
 """Situation-model reasoner: solves Mate-in-N puzzles in four phases.
 
-Orientation recognizes chunks and relations and loads entities into
-working memory. Exploration enumerates candidate situation models (at
+Orientation extracts the relations once, recognizes chunks from them and
+loads entities into working memory. Exploration enumerates candidate situation models (at
 most 4 entities each) from what orientation perceived, scores them with
 the emotion tags recalled from long-term memory, and ranks them.
 Investigation runs a budgeted AND-OR search whose root move ordering
@@ -175,14 +175,16 @@ def _chunk_entity(chunk: ChunkInstance) -> SituationEntity:
                            chunk.members)
 
 
-def perceive(board: Board, chunks) -> tuple:
+def perceive(board: Board, catalog) -> tuple:
     """What orientation perceives: (relations, pool, cover).
 
-    `relations` are the board's relations sorted by id, `pool` the
-    entities (chunk instances, then single pieces) and `cover` maps each
+    `relations` are the board's relations sorted by id, which chunk
+    recognition reads too, `pool` the entities (the chunk instances of
+    `catalog`'s patterns, then single pieces) and `cover` maps each
     entity id to the number of relations that involve one of its pieces.
     """
     relations = sorted(extract_relations(board), key=lambda r: r.id)
+    chunks = recognize_chunks(board, catalog, relations)
     pool = [_chunk_entity(c) for c in chunks] + [_piece_entity(p) for p in board.pieces]
     cover = {e.id: sum(1 for r in relations if set(e.piece_ids) & set(r.entities))
              for e in pool}
@@ -550,11 +552,10 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     clock = 0
 
     # Orientation: perceive chunks and relations, load entities into WM.
-    chunks = recognize_chunks(board, catalog)
-    relations, pool, cover = perceive(board, chunks)
+    relations, pool, cover = perceive(board, catalog)
     clock += _COST_ORIENT_MS
     trace.add(clock, "orientation", "chunks", None,
-              {"instances": [c.id for c in chunks]})
+              {"instances": [e.id for e in pool if e.etype == "chunk"]})
     trace.add(clock, "orientation", "relations", None,
               {"count": len(relations), "ids": [r.id for r in relations]})
 

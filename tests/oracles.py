@@ -7,11 +7,13 @@ moves are found by testing every (from, to) square pair against a
 geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
 
-`enumerate_situations_reference` and `investigate_reference` are the
+`enumerate_situations_reference`, `investigate_reference`,
+`match_batteries_reference` and `match_trapped_kings_reference` are the
 exceptions: the solver's exploration step in its earlier, exhaustive form
-(build every subset, sort, truncate), and its investigation step as it
-was before it kept a table of OR-node results, each kept as the reference
-the current form must equal.
+(build every subset, sort, truncate), its investigation step as it was
+before it kept a table of OR-node results, and the battery and
+trapped-king matchers as they were before they read the relation set,
+each kept as the reference the current form must equal.
 """
 
 import itertools
@@ -19,7 +21,10 @@ from collections import namedtuple
 from typing import Optional
 
 from cogchess import board as _board
-from cogchess.board import Board, Color, _move_from_tuple, _move_to_tuple
+from cogchess.board import (
+    Board, Color, PieceKind, Square, _move_from_tuple, _move_to_tuple,
+)
+from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
     ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
     SituationModel, _apply, _BudgetExhausted, _ordered, _state,
@@ -462,6 +467,90 @@ def enumerate_situations_reference(board, relations, pool, cover,
 
     candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
     return candidates[:MAX_CANDIDATES]
+
+
+def match_batteries_reference(board: Board) -> list:
+    """`chunks._match_batteries` as it was when it walked the line between
+    the two sliders itself (`_clear_between`), before it read batteries off
+    the relation set as mutual protection."""
+    out = []
+    sliders = [p for p in board.pieces if p.kind in _SLIDERS]
+    for i, a in enumerate(sliders):
+        for b in sliders[i + 1:]:
+            if a.color is not b.color:
+                continue
+            df = b.square.file - a.square.file
+            dr = b.square.rank - a.square.rank
+            orth = df == 0 or dr == 0
+            diag = abs(df) == abs(dr) and df != 0
+            if not (orth or diag):
+                continue
+            line_ok = all(
+                (orth and p.kind in (PieceKind.ROOK, PieceKind.QUEEN))
+                or (diag and p.kind in (PieceKind.BISHOP, PieceKind.QUEEN))
+                for p in (a, b))
+            if line_ok and _clear_between(board, a.square, b.square):
+                out.append(_instance("battery", [a, b], a.color))
+    return _dedupe(out)
+
+
+def match_trapped_kings_reference(board: Board) -> list:
+    """`chunks._match_trapped_kings` as it was when it walked the eight
+    directions round the king and asked `attackers_of` twice per escape
+    square."""
+    out = []
+    by_index = {p.square.index: p for p in board.pieces}
+    for king in board.pieces:
+        if king.kind is not PieceKind.KING:
+            continue
+        enemy = king.color.other
+        escapes = []
+        for df in (-1, 0, 1):
+            for dr in (-1, 0, 1):
+                if df == 0 and dr == 0:
+                    continue
+                f, r = king.square.file + df, king.square.rank + dr
+                if not (1 <= f <= 8 and 1 <= r <= 8):
+                    continue
+                sq = Square(f, r)
+                occupant = by_index.get(sq.index)
+                if occupant and occupant.color is king.color:
+                    continue
+                escapes.append(sq)
+        safe = [e for e in escapes if not board.attackers_of(e, enemy)]
+        if len(safe) > 1:
+            continue
+        deniers = set()
+        for e in escapes:
+            attackers = board.attackers_of(e, enemy)
+            if len(attackers) == 1:
+                deniers.add(attackers[0])
+        if deniers:
+            out.append(_instance("trapped-king", [king] + sorted(
+                deniers, key=lambda p: p.square.name), enemy))
+    return _dedupe(out)
+
+
+def _clear_between(board: Board, a: Square, b: Square) -> bool:
+    df = (b.file > a.file) - (b.file < a.file)
+    dr = (b.rank > a.rank) - (b.rank < a.rank)
+    f, r = a.file + df, a.rank + dr
+    while (f, r) != (b.file, b.rank):
+        if board.piece_at(Square(f, r)) is not None:
+            return False
+        f, r = f + df, r + dr
+    return True
+
+
+def _dedupe(instances: list) -> list:
+    seen = set()
+    out = []
+    for c in instances:
+        key = (c.pattern, c.members)
+        if key not in seen:
+            seen.add(key)
+            out.append(c)
+    return out
 
 
 def investigate_reference(board: Board, situation: SituationModel, n: int,

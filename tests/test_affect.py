@@ -1,5 +1,6 @@
 """Affect-signal computations on closed-form synthetic fixtures."""
 
+import json
 import math
 import random
 
@@ -272,6 +273,21 @@ def test_changes_time_rescale_invariant():
 def test_table_rejects_bad_version():
     with pytest.raises(ValueError):
         load_au_table('{"table_version": 9}')
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "mapping table must be a JSON object"),
+    ({"table_version": 1, "emotions": {}, "positive": [], "negative": []},
+     "mapping table missing 'arousal'"),
+    (dict(TABLE, emotions=[]), "mapping table emotions must map every emotion label"),
+    (dict(TABLE, emotions={k: v for k, v in TABLE["emotions"].items()
+                           if k != "fear"}),
+     "mapping table emotions must map every emotion label"),
+])
+def test_table_rejects_malformed_document(doc, message):
+    with pytest.raises(ValueError) as e:
+        load_au_table(json.dumps(doc))
+    assert str(e.value) == message
 
 
 def test_operations_pure():

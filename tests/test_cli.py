@@ -167,6 +167,65 @@ def test_solve_rejects_bad_puzzle_record(tmp_path, capsys, record, reason):
     assert not out.exists()
 
 
+SIDE_FILE_CASES = [
+    (None, "No such file or directory"),
+    ("{", "Expecting property name enclosed in double quotes"),
+    ("[1]", "must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("flag, what, text, message", [
+    ("--catalog", "catalog", text, message) for text, message in SIDE_FILE_CASES
+] + [
+    ("--catalog", "catalog", '{"catalog_version": 1, "patterns": {}}',
+     "pattern '<document>', field 'patterns': must be a list"),
+] + [
+    ("--ltm", "ltm", text, message) for text, message in SIDE_FILE_CASES
+] + [
+    ("--ltm", "ltm", '{"ltm_version": 2}', "unsupported ltm_version 2"),
+] + [
+    ("--config", "config", text, message) for text, message in SIDE_FILE_CASES
+])
+def test_solve_rejects_bad_side_file(puzzle_file, tmp_path, capsys, monkeypatch,
+                                     flag, what, text, message):
+    """A bad --catalog, --ltm or --config file ends the run with one line
+    and exit 2 before any puzzle is solved."""
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+    side = tmp_path / "side.json"
+    if text is not None:
+        side.write_text(text)
+    out = tmp_path / "o"
+    assert main(["solve", "--puzzles", str(puzzle_file), "--seed", "7",
+                 "--out", str(out), flag, str(side)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad {what} file {side}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, what, text, message", [
+    ("--au-table", "AU table", text, message) for text, message in SIDE_FILE_CASES
+] + [
+    ("--au-table", "AU table", '{"table_version": 2}', "unsupported table_version 2"),
+] + [
+    ("--config", "config", text, message) for text, message in SIDE_FILE_CASES
+])
+def test_analyze_rejects_bad_side_file(recording_file, tmp_path, capsys,
+                                       flag, what, text, message):
+    side = tmp_path / "side.json"
+    if text is not None:
+        side.write_text(text)
+    out = tmp_path / "o"
+    assert main(["analyze", "--recording", str(recording_file),
+                 "--out", str(out), flag, str(side)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad {what} file {side}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", "--puzzles", str(tmp_path / "nope.jsonl"),
                  "--seed", "1", "--out", str(tmp_path / "x")]) == 1
@@ -314,6 +373,17 @@ def test_trace_pretty_print(puzzle_file, tmp_path, capsys):
     assert main(["trace", str(out / "traces" / "bk-1.trace.jsonl")]) == 0
     shown = capsys.readouterr().out
     assert "orientation" in shown and "validation" in shown
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "empty file"),
+    ('{"puzzle": "p"}\nnot json\n', "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_trace_rejects_malformed_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "t.trace.jsonl"
+    path.write_text(text)
+    assert main(["trace", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"bad trace file {path}: {reason}\n")
 
 
 def test_solve_desk_suite_smoke(tmp_path):

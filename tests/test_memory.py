@@ -1,5 +1,6 @@
 """Working-memory dynamics, emotion-tag learning, and signature keys."""
 
+import json
 import math
 import random
 from collections import namedtuple
@@ -223,6 +224,25 @@ def test_persistence_round_trip():
 def test_persistence_rejects_bad_version():
     with pytest.raises(ValueError):
         LongTermMemory.load('{"ltm_version": 3, "alpha": 0.3, "k": 5, "entries": {}}')
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "long-term memory must be a JSON object"),
+    ({"ltm_version": 1, "k": 5, "entries": {}}, "long-term memory missing 'alpha'"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5},
+     "long-term memory missing 'entries'"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": []},
+     "malformed long-term memory: 'list' object has no attribute 'items'"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": 1}},
+     "malformed long-term memory: 'int' object is not subscriptable"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5,
+      "entries": {"s": {"valence": 0.0, "arousal": 0.0, "visits": 0}}},
+     "long-term memory missing 'dominance'"),
+])
+def test_persistence_rejects_malformed_document(doc, message):
+    with pytest.raises(ValueError) as e:
+        LongTermMemory.load(json.dumps(doc))
+    assert str(e.value) == message
 
 
 def test_persistence_rejects_out_of_range():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cogchess import board as _board
-from cogchess import reasoner
+from cogchess import chunks, reasoner
 from cogchess.board import parse_fen
-from cogchess.chunks import load_catalog, recognize_chunks
+from cogchess.chunks import load_catalog
 from cogchess.memory import EmotionTag, LongTermMemory, WorkingMemory
 from cogchess.reasoner import (
     MAX_CANDIDATES, PROFILES, LineError, PlayerProfile, SolveLimits,
@@ -27,6 +27,8 @@ DESK = [json.loads(line) for line in
 DESK_FENS = {rec["id"]: rec["fen"] for rec in DESK}
 MOTIF_FENS = [row.split("\t")[0] for row in
               (DATA / "motif72_golden.tsv").read_text().splitlines()[1:-1]]
+SAMPLE_CATALOG = (Path(__file__).parent.parent / "src" / "cogchess" / "data"
+                  / "catalog_sample.json")
 
 MATE1_FEN = "6k1/5ppp/8/8/8/8/8/4R2K w - - 0 1"
 MATE2_FEN = "r5k1/5ppp/8/8/8/4Q3/7K/4R3 w - - 0 1"
@@ -36,8 +38,7 @@ PHASE_ORDER = {"orientation": 0, "exploration": 1,
 
 
 def _explore(b, cap=4):
-    chunks = recognize_chunks(b, load_catalog())
-    return enumerate_situations(b, *perceive(b, chunks), cap)
+    return enumerate_situations(b, *perceive(b, load_catalog()), cap)
 
 
 def _situations(fen, cap=4):
@@ -101,7 +102,7 @@ def test_enumerate_matches_exhaustive_reference(cap):
     catalog = load_catalog()
     for fen in list(DESK_FENS.values()) + MOTIF_FENS:
         b = parse_fen(fen)
-        perceived = perceive(b, recognize_chunks(b, catalog))
+        perceived = perceive(b, catalog)
         got = enumerate_situations(b, *perceived, cap)
         want = oracles.enumerate_situations_reference(b, *perceived, cap)
         assert got == want, fen
@@ -417,9 +418,21 @@ def test_solve_survival_verdict():
 
 
 def test_solve_extracts_relations_once(monkeypatch):
+    """Once per solve, also when catalog patterns carry relation
+    constraints: chunk recognition reads the relations orientation
+    extracted."""
     calls = []
-    real = reasoner.extract_relations
-    monkeypatch.setattr(reasoner, "extract_relations",
-                        lambda b: calls.append(b) or real(b))
-    solve(parse_fen(MATE2_FEN), 2, PROFILES["neutral"])
-    assert len(calls) == 1
+    for module in (reasoner, chunks):
+        real = module.extract_relations
+        monkeypatch.setattr(module, "extract_relations",
+                            lambda b, real=real: calls.append(b) or real(b))
+    # black's king stands behind f7, g7 and h7: a sample-catalog
+    # castled-shield, whose constraints are relations
+    for catalog, shield in ((None, False),
+                            (load_catalog(SAMPLE_CATALOG.read_text()), True)):
+        calls.clear()
+        result = solve(parse_fen(MATE2_FEN), 2, PROFILES["neutral"],
+                       catalog=catalog)
+        assert len(calls) == 1
+        chunk_ids = result.trace.events[0].data["instances"]
+        assert any(i.startswith("castled-shield[") for i in chunk_ids) == shield
