@@ -1,11 +1,10 @@
 """Pure-Python move-generation kernel.
 
-Mirror of the compiled ``cogchess._movegen`` extension; ``cogchess.board``
-picks whichever imports. Both kernels work on a flat 64-byte mailbox
-(a1 = 0 .. h8 = 63, rank-major) with piece codes 1..6 for white
-pawn/knight/bishop/rook/queen/king and 7..12 for black, and must return
-bit-identical results. Only this kernel has ``has_legal_move``;
-``cogchess.board.has_legal_move`` stands in for it on the compiled one.
+Mirror of the compiled ``cogchess._movegen`` extension, which ports this
+file function by function to C; ``cogchess.board`` picks whichever
+imports. Both kernels work on a flat 64-byte mailbox (a1 = 0 .. h8 = 63,
+rank-major) with piece codes 1..6 for white pawn/knight/bishop/rook/queen/
+king and 7..12 for black, and must return bit-identical results.
 
 Moves are ``(frm, to, promo, flags)`` int tuples, sorted ascending, with
 promo one of 0/2/3/4/5 (none/knight/bishop/rook/queen, color-neutral).
@@ -435,10 +434,6 @@ def has_legal_move(sq, stm, castling, ep):
     square and the one it crosses are not attacked, and then the plain
     step onto that crossed square is legal already. Without a king every
     pseudo-move is legal, as in `_legal`.
-
-    The compiled kernel has no such entry: callers go through
-    `cogchess.board.has_legal_move`, which falls back to
-    `bool(legal_moves(...))` there.
     """
     white = stm == 0
     kc = WK if white else BK

@@ -2,9 +2,10 @@
 
 Board and Move are immutable values; all operations are pure functions of
 their inputs, so they are safe to share between threads. The hot kernel
-(attack tests, move generation, perft) lives in the compiled
-``cogchess._movegen`` extension with ``cogchess._movegen_py`` as a
-pure-Python fallback, selected here at import time.
+(attack tests, move generation, perft) is selected here at import time:
+the compiled ``cogchess._movegen``, one hand-written C file built from the
+tracked source with a C compiler alone, when it is importable, otherwise
+``cogchess._movegen_py``. Both run the same algorithm.
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ else:
     except ImportError:
         from . import _movegen_py as _mg
         KERNEL = "python"
-
-
-def has_legal_move(sq, stm, castling, ep) -> bool:
-    """Whether the side to move has a legal move, on raw kernel state.
-
-    The pure-Python kernel's `has_legal_move` stops at the first legal
-    move; the compiled kernel has no such entry, so for it this is
-    `bool(legal_moves(...))`. The kernel is looked up on each call.
-    """
-    fn = getattr(_mg, "has_legal_move", None)
-    if fn is None:
-        return bool(_mg.legal_moves(sq, stm, castling, ep))
-    return fn(sq, stm, castling, ep)
 
 
 class FenError(ValueError):
@@ -299,8 +287,8 @@ class Board:
         return _mg.in_check(self._squares, self.side_to_move is Color.WHITE)
 
     def game_status(self) -> GameStatus:
-        has_moves = has_legal_move(self._squares, self._stm,
-                                   self.castling.mask, self._ep)
+        has_moves = _mg.has_legal_move(self._squares, self._stm,
+                                       self.castling.mask, self._ep)
         if self.in_check():
             return GameStatus.CHECK if has_moves else GameStatus.CHECKMATE
         return GameStatus.ONGOING if has_moves else GameStatus.STALEMATE

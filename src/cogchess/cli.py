@@ -93,6 +93,15 @@ def _int_option(args, config: dict, key: str, default) -> int:
     return _integer(key, _merged(args, config, key, default))
 
 
+def _str_option(args, config: dict, key: str, default) -> str:
+    """The merged value of `key`, or ValueError naming it unless it is a
+    string (a flag always is; a config value need not be)."""
+    value = _merged(args, config, key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _time_limit(rec: dict):
     """The record's `time_limit_s`, None if absent, or ValueError unless
     it is a positive number (a bool is not one)."""
@@ -158,12 +167,16 @@ def run_solve(args) -> int:
     if seed is None:
         print("solve requires --seed for reproducibility", file=sys.stderr)
         return 2
-    puzzles_path = Path(_merged(args, config, "puzzles", ""))
+    try:
+        puzzles_path = Path(_str_option(args, config, "puzzles", ""))
+        out_dir = Path(_str_option(args, config, "out", "out"))
+        profile = _str_option(args, config, "profile", "neutral")
+    except ValueError as exc:
+        print(f"invalid solve option: {exc}", file=sys.stderr)
+        return 2
     if not puzzles_path.is_file():
         print(f"puzzle file not found: {puzzles_path}", file=sys.stderr)
         return 1
-    out_dir = Path(_merged(args, config, "out", "out"))
-    profile = _merged(args, config, "profile", "neutral")
     if profile not in PROFILES:
         print(f"unknown profile {profile!r}", file=sys.stderr)
         return 2
@@ -228,11 +241,15 @@ def run_analyze(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    rec_path = Path(_merged(args, config, "recording", ""))
+    try:
+        rec_path = Path(_str_option(args, config, "recording", ""))
+        out_dir = Path(_str_option(args, config, "out", "out"))
+    except ValueError as exc:
+        print(f"invalid analyze option: {exc}", file=sys.stderr)
+        return 2
     if not rec_path.is_file():
         print(f"recording file not found: {rec_path}", file=sys.stderr)
         return 1
-    out_dir = Path(_merged(args, config, "out", "out"))
 
     try:  # everything is computed before writing: no partial outputs
         session = parse_recording(rec_path.read_text())
@@ -263,16 +280,37 @@ def run_analyze(args) -> int:
     return 0
 
 
+EVENT_KEYS = ("t", "phase", "event", "episode", "data")
+
+
+def _trace_records(lines) -> list:
+    """The JSON objects of a trace file's lines, a header then events,
+    or ValueError unless every line is one and every event has the
+    fields `run_trace` prints."""
+    if not lines:
+        raise ValueError("empty file")
+    records = [json.loads(line) for line in lines]
+    for lineno, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object, got {rec!r}")
+        if lineno == 1:
+            continue  # the header
+        missing = [k for k in EVENT_KEYS if k not in rec]
+        if missing:
+            raise ValueError(f"line {lineno}: event lacks {', '.join(missing)}")
+        if not isinstance(rec["data"], dict):
+            raise ValueError(f"line {lineno}: data must be a JSON object, "
+                             f"got {rec['data']!r}")
+    return records
+
+
 def run_trace(args) -> int:
     path = Path(args.trace_file)
     if not path.is_file():
         print(f"trace file not found: {path}", file=sys.stderr)
         return 1
-    lines = path.read_text().splitlines()
     try:
-        if not lines:
-            raise ValueError("empty file")
-        header, *events = [json.loads(line) for line in lines]
+        header, *events = _trace_records(path.read_text().splitlines())
     except ValueError as exc:
         print(f"bad trace file {path}: {exc}", file=sys.stderr)
         return 1
@@ -282,8 +320,8 @@ def run_trace(args) -> int:
         episode = "-" if e["episode"] is None else e["episode"]
         detail = {k: v for k, v in e["data"].items()
                   if not isinstance(v, (list, dict))}
-        print(f"{e['t']:>8}ms  ep{episode:>2}  {e['phase']:<13} "
-              f"{e['event']:<15} {detail}")
+        print(f"{e['t']!s:>8}ms  ep{episode!s:>2}  {e['phase']!s:<13} "
+              f"{e['event']!s:<15} {detail}")
     return 0
 
 

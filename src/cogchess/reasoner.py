@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import board as _board
 from .board import (
-    Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen, has_legal_move,
+    Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen,
 )
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
@@ -374,7 +374,7 @@ def investigate(board: Board, situation: SituationModel, n: int,
         for m, child, check in ordered:
             if movers_left == 1:
                 # the last mover move must mate: a check with no reply
-                if check and not has_legal_move(*child[:4]):
+                if check and not mg.has_legal_move(*child[:4]):
                     return [m]
                 continue
             replies = mg.legal_moves(*child[:4])
@@ -433,7 +433,7 @@ def _proves(mg, state, movers_left: int) -> bool:
         return False
     for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
         if movers_left == 1:
-            if check and not has_legal_move(*child[:4]):
+            if check and not mg.has_legal_move(*child[:4]):
                 return True
             continue
         replies = mg.legal_moves(*child[:4])
@@ -486,7 +486,7 @@ def validate_line(board: Board, line, n: int) -> bool:
         child = _apply(mg, state, _find(mg, state, script[0]))
         check = mg.in_check(child[0], child[1] == 0)
         if movers_left == 1:
-            return check and not has_legal_move(*child[:4])
+            return check and not mg.has_legal_move(*child[:4])
         replies = mg.legal_moves(*child[:4])
         if not replies:
             return check

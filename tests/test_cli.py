@@ -103,6 +103,26 @@ def test_solve_rejects_non_integer_config_value(puzzle_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "puzzles", 5), ("solve", "out", 1.5), ("solve", "profile", ["x"]),
+    ("analyze", "recording", 5), ("analyze", "out", None),
+])
+def test_rejects_non_string_config_value(puzzle_file, recording_file, tmp_path,
+                                         capsys, command, key, value):
+    out = tmp_path / "x"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, key: value}))
+    flags = {"solve": {"puzzles": puzzle_file}, "analyze": {"recording": recording_file}}
+    argv = [command, "--config", str(cfg)]
+    for flag, path in {**flags[command], "out": out}.items():
+        if flag != key:
+            argv += [f"--{flag}", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"invalid {command} option: {key} must be a string, got {value!r}\n")
+    assert not out.exists()
+
+
 # desk m3-004 at seed 7: the first situation runs out of budget at 751
 # nodes with the simulated clock at 821 ms; the second one solves it
 M3_004 = {"id": "m3-004", "fen": "k7/8/8/8/2K5/8/1Q6/8 w - - 0 1", "mate_in": 3}
@@ -375,9 +395,27 @@ def test_trace_pretty_print(puzzle_file, tmp_path, capsys):
     assert "orientation" in shown and "validation" in shown
 
 
+def test_trace_prints_fields_of_any_json_type(tmp_path, capsys):
+    path = tmp_path / "t.trace.jsonl"
+    path.write_text('{"puzzle": "p"}\n{"t": [1], "phase": 2, "event": null, '
+                    '"episode": {"a": 1}, "data": {"n": 3, "xs": [1]}}\n')
+    assert main(["trace", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "     [1]ms  ep{'a': 1}  2             None            {'n': 3}")
+
+
+EVENT = '{"t": 0, "phase": "orientation", "event": "start", "episode": null, "data": {}}'
+
+
 @pytest.mark.parametrize("text, reason", [
     ("", "empty file"),
     ('{"puzzle": "p"}\nnot json\n', "Expecting value: line 1 column 1 (char 0)"),
+    ("[1]\n", "line 1: expected a JSON object, got [1]"),
+    ('{"puzzle": "p"}\n[1]\n', "line 2: expected a JSON object, got [1]"),
+    ('{"puzzle": "p"}\n%s\n{"t": 1}\n' % EVENT,
+     "line 3: event lacks phase, event, episode, data"),
+    ('{"puzzle": "p"}\n' + EVENT.replace("{}}", "[]}") + "\n",
+     "line 2: data must be a JSON object, got []"),
 ])
 def test_trace_rejects_malformed_file(tmp_path, capsys, text, reason):
     path = tmp_path / "t.trace.jsonl"

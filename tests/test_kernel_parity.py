@@ -35,8 +35,7 @@ def _build_kernel(out: Path):
     spec = importlib.util.spec_from_file_location("cogchess._movegen", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # a Cython module enters itself in sys.modules when it runs; undo that
-    sys.modules.pop(spec.name, None)
+    assert spec.name not in sys.modules
     return module
 
 
@@ -138,15 +137,66 @@ def _has_legal_move_cases():
     return [_state(b) for b in boards]
 
 
-def test_has_legal_move_matches_legal_moves(compiled, monkeypatch):
+def test_has_legal_move_matches_legal_moves(compiled):
     cases = _has_legal_move_cases()
     assert any(not pure.legal_moves(*st) for st in cases)
     for st in cases:
         want = bool(compiled.legal_moves(*st))
         assert bool(pure.legal_moves(*st)) == want
         assert pure.has_legal_move(*st) is want
-    # the compiled kernel has no has_legal_move: `board` falls back to
-    # its legal_moves
-    monkeypatch.setattr(_board, "_mg", compiled)
-    for st in cases:
-        assert _board.has_legal_move(*st) == bool(compiled.legal_moves(*st))
+        assert compiled.has_legal_move(*st) is want
+
+
+def _public(module):
+    return {name for name in dir(module) if not name.startswith("_")}
+
+
+def test_kernels_export_the_same_names(compiled):
+    assert _public(compiled) == _public(pure)
+    for name in _public(pure):
+        if isinstance(getattr(pure, name), int):
+            assert getattr(compiled, name) == getattr(pure, name), name
+
+
+KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
+
+
+def test_compiled_perft_published_counts(compiled):
+    assert compiled.perft(*_state(_board.start_board()), 3) == 8902
+    assert compiled.perft(*_state(parse_fen(KIWIPETE)), 2) == 2039
+
+
+def test_compiled_accepts_bytearray(compiled):
+    st = _state(parse_fen(KIWIPETE))
+    mutable = (bytearray(st[0]),) + st[1:]
+    assert compiled.legal_moves(*mutable) == compiled.legal_moves(*st)
+    assert compiled.attacked(mutable[0], 36, False) == compiled.attacked(st[0], 36, False)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k, sq: k.attacked(sq, 0, True),
+    lambda k, sq: k.attackers(sq, 0, True),
+    lambda k, sq: k.attack_targets(sq, 0),
+    lambda k, sq: k.in_check(sq, True),
+    lambda k, sq: k.legal_moves(sq, 0, 0, -1),
+    lambda k, sq: k.has_legal_move(sq, 0, 0, -1),
+    lambda k, sq: k.apply_move(sq, 0, 0, -1, 0, 1, 12, 28, 0, 16),
+    lambda k, sq: k.perft(sq, 0, 0, -1, 1),
+], ids=["attacked", "attackers", "attack_targets", "in_check", "legal_moves",
+        "has_legal_move", "apply_move", "perft"])
+@pytest.mark.parametrize("size", [0, 63, 65])
+def test_compiled_rejects_squares_not_64_bytes(compiled, call, size):
+    with pytest.raises(ValueError, match="64 bytes"):
+        call(compiled, bytes(size))
+
+
+@pytest.mark.parametrize("target", [-1, 64])
+def test_compiled_rejects_square_off_board(compiled, target):
+    sq = _board.start_board()._squares
+    for call in (lambda: compiled.attacked(sq, target, True),
+                 lambda: compiled.attackers(sq, target, False),
+                 lambda: compiled.attack_targets(sq, target),
+                 lambda: compiled.apply_move(sq, 0, 0, -1, 0, 1, target, 28, 0, 0),
+                 lambda: compiled.apply_move(sq, 0, 0, -1, 0, 1, 12, target, 0, 0)):
+        with pytest.raises(ValueError, match="not in 0..63"):
+            call()
