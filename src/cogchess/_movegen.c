@@ -614,8 +614,10 @@ static PyObject *square_list(Mask set)
     return out;
 }
 
+/* The module object each entry receives is unused. */
 #define ENTRY(name) \
-    static PyObject *py_##name(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+    static PyObject *py_##name(PyObject *Py_UNUSED(self), PyObject *const *args, \
+                               Py_ssize_t nargs)
 
 ENTRY(attacked)
 {

@@ -36,8 +36,29 @@ def _is_black(p):
     return p >= 7
 
 
+def _squares_error(name, sq):
+    return ValueError(f"{name}(): squares must be 64 bytes, got {len(sq)}")
+
+
+def _square_error(name, s):
+    return ValueError(f"{name}(): square {s} not in 0..63")
+
+
+# The public entries check their arguments as the compiled kernel does:
+# the squares must be 64 bytes and a square index must lie in 0..63. The
+# internal helpers they call trust their arguments.
+
+
 def attacked(sq, target, by_white):
     """True if `target` is attacked by at least one piece of the given color."""
+    if len(sq) != 64:
+        raise _squares_error("attacked", sq)
+    if not 0 <= target <= 63:
+        raise _square_error("attacked", target)
+    return _attacked(sq, target, by_white)
+
+
+def _attacked(sq, target, by_white):
     tf = target & 7
     tr = target >> 3
 
@@ -90,18 +111,30 @@ def attacked(sq, target, by_white):
 
 def attackers(sq, target, by_white):
     """Sorted squares of all pieces of the given color attacking `target`."""
+    if len(sq) != 64:
+        raise _squares_error("attackers", sq)
+    if not 0 <= target <= 63:
+        raise _square_error("attackers", target)
     out = []
     for i in range(64):
         p = sq[i]
         if p == EMPTY or _is_white(p) != bool(by_white):
             continue
-        if target in attack_targets(sq, i):
+        if target in _attack_targets(sq, i):
             out.append(i)
     return out
 
 
 def attack_targets(sq, frm):
     """Sorted squares attacked by the piece at `frm` (pawn capture squares only)."""
+    if len(sq) != 64:
+        raise _squares_error("attack_targets", sq)
+    if not 0 <= frm <= 63:
+        raise _square_error("attack_targets", frm)
+    return _attack_targets(sq, frm)
+
+
+def _attack_targets(sq, frm):
     p = sq[frm]
     if p == EMPTY:
         return []
@@ -151,8 +184,10 @@ def _king_square(sq, white):
 
 
 def in_check(sq, white):
+    if len(sq) != 64:
+        raise _squares_error("in_check", sq)
     k = _king_square(sq, white)
-    return k >= 0 and attacked(sq, k, not white)
+    return k >= 0 and _attacked(sq, k, not white)
 
 
 def _pseudo_moves(sq, stm, castling, ep):
@@ -233,20 +268,20 @@ def _pseudo_moves(sq, stm, castling, ep):
     if white:
         if (castling & CASTLE_WK) and sq[4] == WK and sq[7] == WR \
                 and sq[5] == EMPTY and sq[6] == EMPTY \
-                and not attacked(sq, 4, False) and not attacked(sq, 5, False):
+                and not _attacked(sq, 4, False) and not _attacked(sq, 5, False):
             moves.append((4, 6, 0, FLAG_CASTLE_K))
         if (castling & CASTLE_WQ) and sq[4] == WK and sq[0] == WR \
                 and sq[1] == EMPTY and sq[2] == EMPTY and sq[3] == EMPTY \
-                and not attacked(sq, 4, False) and not attacked(sq, 3, False):
+                and not _attacked(sq, 4, False) and not _attacked(sq, 3, False):
             moves.append((4, 2, 0, FLAG_CASTLE_Q))
     else:
         if (castling & CASTLE_BK) and sq[60] == BK and sq[63] == BR \
                 and sq[61] == EMPTY and sq[62] == EMPTY \
-                and not attacked(sq, 60, True) and not attacked(sq, 61, True):
+                and not _attacked(sq, 60, True) and not _attacked(sq, 61, True):
             moves.append((60, 62, 0, FLAG_CASTLE_K))
         if (castling & CASTLE_BQ) and sq[60] == BK and sq[56] == BR \
                 and sq[57] == EMPTY and sq[58] == EMPTY and sq[59] == EMPTY \
-                and not attacked(sq, 60, True) and not attacked(sq, 59, True):
+                and not _attacked(sq, 60, True) and not _attacked(sq, 59, True):
             moves.append((60, 58, 0, FLAG_CASTLE_Q))
     return moves
 
@@ -394,7 +429,7 @@ def _legal_among(arr, stm, moves, king, pinned, evasions):
                 yield m
                 continue
         undo = _make(arr, stm, frm, to, promo, flags)
-        safe = not attacked(arr, to if frm == king else king, not white)
+        safe = not _attacked(arr, to if frm == king else king, not white)
         _unmake(arr, stm, frm, to, promo, flags, undo)
         if safe:
             yield m
@@ -419,6 +454,8 @@ def _legal(arr, stm, castling, ep):
 
 def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
+    if len(sq) != 64:
+        raise _squares_error("legal_moves", sq)
     out = _legal(bytearray(sq), stm, castling, ep)
     out.sort()
     return out
@@ -435,6 +472,8 @@ def has_legal_move(sq, stm, castling, ep):
     step onto that crossed square is legal already. Without a king every
     pseudo-move is legal, as in `_legal`.
     """
+    if len(sq) != 64:
+        raise _squares_error("has_legal_move", sq)
     white = stm == 0
     kc = WK if white else BK
     king = sq.find(kc)
@@ -449,7 +488,7 @@ def has_legal_move(sq, stm, castling, ep):
         if 0 <= f <= 7 and 0 <= r <= 7:
             p = arr[r * 8 + f]
             if (p == EMPTY or (p <= 6) != white) \
-                    and not attacked(arr, r * 8 + f, not white):
+                    and not _attacked(arr, r * 8 + f, not white):
                 return True
     arr[king] = kc
     pinned, evasions = _pins_and_evasions(arr, king, white)
@@ -477,6 +516,12 @@ def _update_castling(castling, frm, to):
 
 def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags):
     """Apply one move; returns the new (squares, stm, castling, ep, halfmove, fullmove)."""
+    if len(sq) != 64:
+        raise _squares_error("apply_move", sq)
+    if not 0 <= frm <= 63:
+        raise _square_error("apply_move", frm)
+    if not 0 <= to <= 63:
+        raise _square_error("apply_move", to)
     arr = bytearray(sq)
     pawn = arr[frm] in (WP, BP)
     undo = _make(arr, stm, frm, to, promo, flags)
@@ -490,6 +535,8 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
 
 def perft(sq, stm, castling, ep, depth):
     """Leaf count of the legal game tree at exactly `depth`."""
+    if len(sq) != 64:
+        raise _squares_error("perft", sq)
     if depth <= 0:
         return 1
     arr = bytearray(sq)

@@ -23,9 +23,9 @@ from .affect import classify_emotion, compute_agitation, compute_arousal, \
 from .board import parse_fen
 from .chunks import load_catalog
 from .ingest import parse_recording
-from .memory import LongTermMemory, WorkingMemory
+from .memory import LongTermMemory
 from .reasoner import PROFILES, PlayerProfile, SolveLimits, \
-    check_entity_cap, check_mate_depth, solve
+    check_mate_depth, solve
 
 VERDICT_COLUMNS = ("id", "verdict", "line", "nodes", "situations")
 STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
@@ -190,8 +190,6 @@ def run_solve(args) -> int:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         player = PlayerProfile(profile, base_budget=base_budget)
-        WorkingMemory(capacity=wm_capacity)
-        check_entity_cap(entity_cap)
         limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
                              wm_capacity=wm_capacity)
     except ValueError as exc:
@@ -334,13 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve a Mate-in-N puzzle file")
     ps.add_argument("--puzzles", help="JSONL puzzle file")
     ps.add_argument("--profile", choices=sorted(PROFILES))
-    ps.add_argument("--wm-capacity", dest="wm_capacity", type=int)
-    ps.add_argument("--entity-cap", dest="entity_cap", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--max-nodes", dest="max_nodes", type=int)
-    ps.add_argument("--base-budget", dest="base_budget", type=int)
-    ps.add_argument("--jobs", type=int)
-    ps.add_argument("--out")
+    ps.add_argument("--wm-capacity", dest="wm_capacity", type=int,
+                    help="entities orientation loads into working memory, "
+                         "4..9 (default 7)")
+    ps.add_argument("--entity-cap", dest="entity_cap", type=int,
+                    help="entities per situation model, 2..4 (default 4)")
+    ps.add_argument("--seed", type=int, help="required; recorded in every trace")
+    ps.add_argument("--max-nodes", dest="max_nodes", type=int,
+                    help="nodes searched per puzzle (default 50000)")
+    ps.add_argument("--base-budget", dest="base_budget", type=int,
+                    help="node budget of one situation (default 3000)")
+    ps.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    ps.add_argument("--out", help="output directory (default out)")
     ps.add_argument("--config", help="JSON config file; flags win on conflict")
     ps.add_argument("--ltm", help="long-term memory snapshot to load")
     ps.add_argument("--catalog", help="chunk catalog JSON file")

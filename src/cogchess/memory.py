@@ -47,6 +47,12 @@ class Entity:
             self.base_activation = self.activation
 
 
+def check_capacity(capacity: int) -> None:
+    """ValueError unless `capacity` is a working-memory capacity (4..9)."""
+    if not 4 <= capacity <= 9:
+        raise ValueError(f"capacity must be in 4..9, got {capacity}")
+
+
 class WorkingMemory:
     """Bounded buffer of active entities with exponential decay.
 
@@ -55,8 +61,7 @@ class WorkingMemory:
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if not 4 <= capacity <= 9:
-            raise ValueError(f"capacity must be in 4..9, got {capacity}")
+        check_capacity(capacity)
         self.capacity = capacity
         self.slots: list = []
         self.clock_ms = 0

@@ -1,14 +1,19 @@
 """Situation-model reasoner: solves Mate-in-N puzzles in four phases.
 
 Orientation extracts the relations once, recognizes chunks from them and
-loads entities into working memory. Exploration enumerates candidate situation models (at
-most 4 entities each) from what orientation perceived, scores them with
-the emotion tags recalled from long-term memory, and ranks them.
+loads entities into a working memory of `SolveLimits.wm_capacity` slots
+(the trace's `working-memory` event lists them; exploration does not read
+them). Exploration enumerates candidate situation models (at most 4
+entities each) from what orientation perceived, scores them with the
+emotion tags recalled from long-term memory, and ranks them.
 Investigation runs a budgeted AND-OR search whose root move ordering
 prefers moves proposed by the chosen situation. Validation replays a
 claimed mating line full-width, with no pruning and no budget, so a
 solved verdict is always exact; every investigated situation feeds a
-reward back into long-term memory.
+reward back into long-term memory. The search, the validation and the
+survival check (`forced_loss_in`) read one mate rule, `_mover_moves`:
+the last mover move must be a check with no reply, and a stalemate never
+counts.
 
 Trace timestamps use a simulated clock (1 ms per searched node plus small
 fixed phase costs), never wall time, so runs are reproducible byte for
@@ -31,7 +36,8 @@ from .board import (
 )
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
-    EmotionTag, LongTermMemory, Entity, WorkingMemory, situation_signature,
+    EmotionTag, LongTermMemory, Entity, WorkingMemory, check_capacity,
+    situation_signature,
 )
 from .relations import extract_relations
 
@@ -150,6 +156,8 @@ class SolveLimits:
             raise ValueError(f"max_total_nodes must be >= 1, got {self.max_total_nodes}")
         if self.max_situations < 1:
             raise ValueError(f"max_situations must be >= 1, got {self.max_situations}")
+        check_capacity(self.wm_capacity)
+        check_entity_cap(self.entity_cap)
 
 
 @dataclass
@@ -332,6 +340,24 @@ def _apply(mg, state, m) -> tuple:
     return mg.apply_move(*state, *m)
 
 
+def _mover_moves(mg, state, moves, movers_left: int):
+    """(move, child, replies) for each of `moves` that mates or leaves the
+    opponent a reply, in `_ordered`'s order; `replies` is empty for a mate.
+
+    This is the mate rule that search, validation and the survival check
+    share: the last mover move must be a check with no reply, and a
+    stalemate never counts.
+    """
+    for m, child, check in _ordered(mg, state, moves):
+        if movers_left == 1:
+            if check and not mg.has_legal_move(*child[:4]):
+                yield m, child, ()
+            continue
+        replies = mg.legal_moves(*child[:4])
+        if replies or check:
+            yield m, child, replies
+
+
 def investigate(board: Board, situation: SituationModel, n: int,
                 budget: int, table: Optional[dict] = None) -> InvestigationResult:
     """Depth-limited AND-OR search for a forced mate in <= n mover moves.
@@ -367,24 +393,18 @@ def investigate(board: Board, situation: SituationModel, n: int,
 
     def or_node(state, movers_left: int, at_root: bool) -> Optional[list]:
         spend()
-        ordered = _ordered(mg, state, mg.legal_moves(*state[:4]))
-        if at_root:
-            ordered = ([t for t in ordered if t[0][:3] in preferred]
-                       + [t for t in ordered if t[0][:3] not in preferred])
-        for m, child, check in ordered:
-            if movers_left == 1:
-                # the last mover move must mate: a check with no reply
-                if check and not mg.has_legal_move(*child[:4]):
+        moves = mg.legal_moves(*state[:4])
+        groups = (moves,)
+        if at_root:  # the rest is made only if the proposed moves fail
+            groups = ([m for m in moves if m[:3] in preferred],
+                      [m for m in moves if m[:3] not in preferred])
+        for group in groups:
+            for m, child, replies in _mover_moves(mg, state, group, movers_left):
+                if not replies:
                     return [m]
-                continue
-            replies = mg.legal_moves(*child[:4])
-            if not replies:
-                if check:
-                    return [m]
-                continue  # stalemate
-            reply_line = and_node(child, replies, movers_left - 1)
-            if reply_line is not None:
-                return [m] + reply_line
+                reply_line = and_node(child, replies, movers_left - 1)
+                if reply_line is not None:
+                    return [m] + reply_line
         return None
 
     def inner_or_node(state, movers_left: int) -> Optional[list]:
@@ -427,21 +447,21 @@ def investigate(board: Board, situation: SituationModel, n: int,
 # -- validation ----------------------------------------------------------------
 
 
-def _proves(mg, state, movers_left: int) -> bool:
-    """Full-width forced-mate proof on a raw state."""
+def _proves(mg, state, movers_left: int, script=()) -> bool:
+    """Full-width forced-mate proof on a raw state.
+
+    With a `script` (a tuple of UCI strings), the mover plays only the
+    scripted move; after the scripted reply the proof follows the rest of
+    the script, and every other reply is proved full-width.
+    """
     if movers_left < 1:
         return False
-    for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
-        if movers_left == 1:
-            if check and not mg.has_legal_move(*child[:4]):
-                return True
-            continue
-        replies = mg.legal_moves(*child[:4])
-        if not replies:
-            if check:
-                return True
-            continue
-        if all(_proves(mg, _apply(mg, child, r), movers_left - 1) for r in replies):
+    moves = [_find(mg, state, script[0])] if script else mg.legal_moves(*state[:4])
+    expected = script[1] if len(script) > 1 else None
+    for _, child, replies in _mover_moves(mg, state, moves, movers_left):
+        if all(_proves(mg, _apply(mg, child, r), movers_left - 1,
+                       script[2:] if expected and _uci(r) == expected else ())
+               for r in replies):
             return True
     return False
 
@@ -472,36 +492,12 @@ def validate_line(board: Board, line, n: int) -> bool:
     """
     if not line or len(line) > 2 * n - 1:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
-    ucis = [m.uci if isinstance(m, Move) else str(m) for m in line]
+    ucis = tuple(m.uci if isinstance(m, Move) else str(m) for m in line)
     mg = _board._mg
     start = pos = _state(board)
     for u in ucis:
         pos = _apply(mg, pos, _find(mg, pos, u))
-
-    def follow(state, script, movers_left: int) -> bool:
-        if movers_left < 1:
-            return False
-        if not script:
-            return _proves(mg, state, movers_left)
-        child = _apply(mg, state, _find(mg, state, script[0]))
-        check = mg.in_check(child[0], child[1] == 0)
-        if movers_left == 1:
-            return check and not mg.has_legal_move(*child[:4])
-        replies = mg.legal_moves(*child[:4])
-        if not replies:
-            return check
-        expected = script[1] if len(script) > 1 else None
-        for reply in replies:
-            after = _apply(mg, child, reply)
-            if expected is not None and _uci(reply) == expected:
-                if not follow(after, script[2:], movers_left - 1):
-                    return False
-            else:
-                if not _proves(mg, after, movers_left - 1):
-                    return False
-        return True
-
-    return follow(start, ucis, n)
+    return _proves(mg, start, n, ucis)
 
 
 def forced_loss_in(board: Board, n: int) -> Optional[int]:
@@ -522,7 +518,6 @@ def forced_loss_in(board: Board, n: int) -> Optional[int]:
 
 
 def solve(board: Board, n: int, profile: PlayerProfile,
-          wm: Optional[WorkingMemory] = None,
           ltm: Optional[LongTermMemory] = None,
           catalog=None, limits: Optional[SolveLimits] = None,
           seed: int = 0, puzzle_id: str = "",
@@ -541,7 +536,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     if time_limit_ms is not None and not time_limit_ms > 0:
         raise ValueError(f"time_limit_ms must be > 0, got {time_limit_ms}")
     limits = limits or SolveLimits()
-    wm = wm or WorkingMemory(capacity=limits.wm_capacity)
+    wm = WorkingMemory(capacity=limits.wm_capacity)
     ltm = ltm or LongTermMemory()
     catalog = catalog if catalog is not None else load_catalog()
 
@@ -609,7 +604,6 @@ def solve(board: Board, n: int, profile: PlayerProfile,
         investigated += 1
         nodes_total += result.nodes
         clock += result.nodes * _COST_PER_NODE_MS
-        wm.tick(result.nodes * _COST_PER_NODE_MS)
         trace.add(clock, "investigation", "searched", episode,
                   {"nodes": result.nodes, "exhausted": result.exhausted,
                    "line": [m.uci for m in result.line] if result.line else None})

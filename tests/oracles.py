@@ -8,12 +8,15 @@ geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
 
 `enumerate_situations_reference`, `investigate_reference`,
-`match_batteries_reference` and `match_trapped_kings_reference` are the
+`match_batteries_reference`, `match_trapped_kings_reference`,
+`validate_line_reference` and `forced_loss_in_reference` are the
 exceptions: the solver's exploration step in its earlier, exhaustive form
 (build every subset, sort, truncate), its investigation step as it was
-before it kept a table of OR-node results, and the battery and
-trapped-king matchers as they were before they read the relation set,
-each kept as the reference the current form must equal.
+before it kept a table of OR-node results, the battery and trapped-king
+matchers as they were before they read the relation set, and the
+validation and survival check as they were before they shared the
+search's mate rule (each with its own copy of that rule), each kept as
+the reference the current form must equal.
 """
 
 import itertools
@@ -22,13 +25,13 @@ from typing import Optional
 
 from cogchess import board as _board
 from cogchess.board import (
-    Board, Color, PieceKind, Square, _move_from_tuple, _move_to_tuple,
+    Board, Color, Move, PieceKind, Square, _move_from_tuple, _move_to_tuple,
 )
 from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
     ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
-    SituationModel, _apply, _BudgetExhausted, _ordered, _state,
-    check_entity_cap,
+    LineError, SituationModel, _apply, _BudgetExhausted, _ordered, _state,
+    _uci, check_entity_cap,
 )
 
 OPos = namedtuple("OPos", "pieces stm castles ep halfmove fullmove")
@@ -611,3 +614,86 @@ def investigate_reference(board: Board, situation: SituationModel, n: int,
     if line is not None:
         line = [_move_from_tuple(t) for t in line]
     return InvestigationResult(line, counter["nodes"], False)
+
+
+def _proves_reference(mg, state, movers_left: int) -> bool:
+    """Full-width forced-mate proof on a raw state."""
+    if movers_left < 1:
+        return False
+    for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
+        if movers_left == 1:
+            if check and not mg.has_legal_move(*child[:4]):
+                return True
+            continue
+        replies = mg.legal_moves(*child[:4])
+        if not replies:
+            if check:
+                return True
+            continue
+        if all(_proves_reference(mg, _apply(mg, child, r), movers_left - 1)
+               for r in replies):
+            return True
+    return False
+
+
+def _find_reference(mg, state, uci: str):
+    """The legal move of `state` spelled `uci`, or LineError."""
+    for m in mg.legal_moves(*state[:4]):
+        if _uci(m) == uci:
+            return m
+    raise LineError(f"illegal move {uci!r} in line")
+
+
+def validate_line_reference(board: Board, line, n: int) -> bool:
+    """Does the line force mate in <= n mover moves against every defense?
+
+    The mover follows the scripted moves while the opponent complies with
+    the line; on any deviation the continuation is re-proved full-width.
+    Raises LineError if the line itself is not a legal sequence.
+    """
+    if not line or len(line) > 2 * n - 1:
+        raise ValueError(f"line length must be 1..{2 * n - 1}")
+    ucis = [m.uci if isinstance(m, Move) else str(m) for m in line]
+    mg = _board._mg
+    start = pos = _state(board)
+    for u in ucis:
+        pos = _apply(mg, pos, _find_reference(mg, pos, u))
+
+    def follow(state, script, movers_left: int) -> bool:
+        if movers_left < 1:
+            return False
+        if not script:
+            return _proves_reference(mg, state, movers_left)
+        child = _apply(mg, state, _find_reference(mg, state, script[0]))
+        check = mg.in_check(child[0], child[1] == 0)
+        if movers_left == 1:
+            return check and not mg.has_legal_move(*child[:4])
+        replies = mg.legal_moves(*child[:4])
+        if not replies:
+            return check
+        expected = script[1] if len(script) > 1 else None
+        for reply in replies:
+            after = _apply(mg, child, reply)
+            if expected is not None and _uci(reply) == expected:
+                if not follow(after, script[2:], movers_left - 1):
+                    return False
+            else:
+                if not _proves_reference(mg, after, movers_left - 1):
+                    return False
+        return True
+
+    return follow(start, ucis, n)
+
+
+def forced_loss_in_reference(board: Board, n: int) -> Optional[int]:
+    """Smallest k <= n such that the opponent mates the mover in k of the
+    opponent's own moves against any defense, or None."""
+    mg = _board._mg
+    state = _state(board)
+    moves = mg.legal_moves(*state[:4])
+    if not moves:
+        return None
+    for k in range(1, n + 1):
+        if all(_proves_reference(mg, _apply(mg, state, m), k) for m in moves):
+            return k
+    return None

@@ -9,6 +9,7 @@ tests skip only when that build fails.
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,30 +174,60 @@ def test_compiled_accepts_bytearray(compiled):
     assert compiled.attacked(mutable[0], 36, False) == compiled.attacked(st[0], 36, False)
 
 
-@pytest.mark.parametrize("call", [
-    lambda k, sq: k.attacked(sq, 0, True),
-    lambda k, sq: k.attackers(sq, 0, True),
-    lambda k, sq: k.attack_targets(sq, 0),
-    lambda k, sq: k.in_check(sq, True),
-    lambda k, sq: k.legal_moves(sq, 0, 0, -1),
-    lambda k, sq: k.has_legal_move(sq, 0, 0, -1),
-    lambda k, sq: k.apply_move(sq, 0, 0, -1, 0, 1, 12, 28, 0, 16),
-    lambda k, sq: k.perft(sq, 0, 0, -1, 1),
-], ids=["attacked", "attackers", "attack_targets", "in_check", "legal_moves",
-        "has_legal_move", "apply_move", "perft"])
-@pytest.mark.parametrize("size", [0, 63, 65])
-def test_compiled_rejects_squares_not_64_bytes(compiled, call, size):
-    with pytest.raises(ValueError, match="64 bytes"):
-        call(compiled, bytes(size))
+# Each entry's arguments around a squares buffer `sq`.
+ENTRY_ARGS = {
+    "attacked": lambda sq: (sq, 0, True),
+    "attackers": lambda sq: (sq, 0, True),
+    "attack_targets": lambda sq: (sq, 0),
+    "in_check": lambda sq: (sq, True),
+    "legal_moves": lambda sq: (sq, 0, 0, -1),
+    "has_legal_move": lambda sq: (sq, 0, 0, -1),
+    "apply_move": lambda sq: (sq, 0, 0, -1, 0, 1, 12, 28, 0, 16),
+    "perft": lambda sq: (sq, 0, 0, -1, 1),
+}
 
 
-@pytest.mark.parametrize("target", [-1, 64])
-def test_compiled_rejects_square_off_board(compiled, target):
+def _rejects_squares_not_64_bytes(kernel, name, size):
+    message = re.escape(f"{name}(): squares must be 64 bytes, got {size}")
+    with pytest.raises(ValueError, match=message):
+        getattr(kernel, name)(*ENTRY_ARGS[name](bytes(size)))
+
+
+def _rejects_square_off_board(kernel, target):
     sq = _board.start_board()._squares
-    for call in (lambda: compiled.attacked(sq, target, True),
-                 lambda: compiled.attackers(sq, target, False),
-                 lambda: compiled.attack_targets(sq, target),
-                 lambda: compiled.apply_move(sq, 0, 0, -1, 0, 1, target, 28, 0, 0),
-                 lambda: compiled.apply_move(sq, 0, 0, -1, 0, 1, 12, target, 0, 0)):
-        with pytest.raises(ValueError, match="not in 0..63"):
-            call()
+    for name, args in (("attacked", (sq, target, True)),
+                       ("attackers", (sq, target, False)),
+                       ("attack_targets", (sq, target)),
+                       ("apply_move", (sq, 0, 0, -1, 0, 1, target, 28, 0, 0)),
+                       ("apply_move", (sq, 0, 0, -1, 0, 1, 12, target, 0, 0))):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name}(): square {target} not in 0..63")):
+            getattr(kernel, name)(*args)
+
+
+# The same checks on both kernels; the pure ones run when the build fails.
+ENTRY_NAMES = pytest.mark.parametrize("name", list(ENTRY_ARGS))
+SIZES = pytest.mark.parametrize("size", [0, 63, 65])
+OFF_BOARD = pytest.mark.parametrize("target", [-1, 64])
+
+
+@ENTRY_NAMES
+@SIZES
+def test_compiled_rejects_squares_not_64_bytes(compiled, name, size):
+    _rejects_squares_not_64_bytes(compiled, name, size)
+
+
+@ENTRY_NAMES
+@SIZES
+def test_pure_rejects_squares_not_64_bytes(name, size):
+    _rejects_squares_not_64_bytes(pure, name, size)
+
+
+@OFF_BOARD
+def test_compiled_rejects_square_off_board(compiled, target):
+    _rejects_square_off_board(compiled, target)
+
+
+@OFF_BOARD
+def test_pure_rejects_square_off_board(target):
+    _rejects_square_off_board(pure, target)

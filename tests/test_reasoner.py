@@ -14,7 +14,7 @@ from cogchess import board as _board
 from cogchess import chunks, reasoner
 from cogchess.board import parse_fen
 from cogchess.chunks import load_catalog
-from cogchess.memory import EmotionTag, LongTermMemory, WorkingMemory
+from cogchess.memory import EmotionTag, LongTermMemory
 from cogchess.reasoner import (
     MAX_CANDIDATES, PROFILES, LineError, PlayerProfile, SolveLimits,
     effort_budget, enumerate_situations, forced_loss_in, investigate,
@@ -290,6 +290,50 @@ def test_validate_rejects_overlong_line():
         validate_line(b, ["e1e8", "g8h8", "e8e7"], 1)
 
 
+def _result_or_error(fn, *args):
+    """`fn(*args)`, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _line_variants(board, line):
+    """`line`, then the line with each ply swapped for each other legal
+    move at that ply: truncated after the swap, and (unless the swap is
+    the last ply) at full length."""
+    yield line
+    pos = board
+    for i, uci in enumerate(line):
+        played = None
+        for m in pos.legal_moves():
+            if m.uci == uci:
+                played = m
+                continue
+            yield line[:i] + [m.uci]
+            if i < len(line) - 1:
+                yield line[:i] + [m.uci] + line[i + 1:]
+        pos = pos.apply_move(played)
+
+
+def test_validation_and_survival_match_reference():
+    """`validate_line` and `forced_loss_in` read the search's mate rule;
+    their earlier forms, each with its own copy of the rule, must agree
+    on every desk-40 solved line and its one-ply variants, and on the
+    survival of every first move of each desk-40 board."""
+    for rec in DESK:
+        b, n = parse_fen(rec["fen"]), rec["mate_in"]
+        line = solve(b, n, PROFILES["neutral"]).line
+        assert line, rec["id"]
+        for variant in _line_variants(b, line):
+            assert _result_or_error(validate_line, b, variant, n) == _result_or_error(
+                oracles.validate_line_reference, b, variant, n), (rec["id"], variant)
+        for m in b.legal_moves():
+            child = b.apply_move(m)
+            assert forced_loss_in(child, n - 1) == \
+                oracles.forced_loss_in_reference(child, n - 1), (rec["id"], m.uci)
+
+
 def test_solve_mate_in_one():
     b = parse_fen(MATE1_FEN)
     result = solve(b, 1, PROFILES["neutral"], seed=1, puzzle_id="m1")
@@ -391,9 +435,23 @@ def test_solve_fallback_rescue_earns_no_credit():
 
 def test_solve_wm_capacity_respected():
     b = parse_fen(MATE2_FEN)
-    wm = WorkingMemory(capacity=4)
-    solve(b, 2, PROFILES["neutral"], wm=wm, seed=1)
-    assert len(wm.slots) <= 4
+    result = solve(b, 2, PROFILES["neutral"], limits=SolveLimits(wm_capacity=4),
+                   seed=1)
+    loaded = next(e for e in result.trace.events if e.event == "working-memory")
+    assert loaded.data["capacity"] == 4
+    assert 1 <= len(loaded.data["loaded"]) <= 4
+    assert loaded.data["rejected"]  # the board has more than 4 entities
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("wm_capacity", 3, "capacity must be in 4..9, got 3"),
+    ("wm_capacity", 10, "capacity must be in 4..9, got 10"),
+    ("entity_cap", 1, "entity cap must be 2..4, got 1"),
+    ("entity_cap", 5, "entity cap must be 2..4, got 5"),
+])
+def test_solve_limits_reject_bad_caps(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SolveLimits(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["max_total_nodes", "max_situations"])
