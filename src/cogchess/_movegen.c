@@ -11,8 +11,9 @@
  *
  * Inside the kernel a move is one int, frm<<16 | to<<8 | promo<<5 | flags,
  * so that integer order is tuple order. The squares argument is any
- * buffer (`bytes`, `bytearray`) of exactly 64 bytes, and a square index
- * must lie in 0..63; anything else raises ValueError.
+ * buffer (`bytes`, `bytearray`) of exactly 64 bytes, and a square index,
+ * an en-passant move's captured square included, must lie in 0..63;
+ * anything else raises ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -508,6 +509,89 @@ static int has_legal_move(unsigned char *arr, int stm, int castling, int ep)
     return _legal_among(arr, stm, moves, others, king, pinned, evasions, NULL);
 }
 
+/* How the side of the given color can check the enemy king on `king`.
+ *
+ * `direct[p]` gets the squares from which the side's piece with code `p`
+ * would attack the king on the board as it stands: a pawn's and a
+ * knight's from their offsets, a bishop's, rook's and queen's along the
+ * rays out from the king up to and including the first occupied square. A
+ * king gives no direct check, since a legal king move never lands next to
+ * the other king. `opens[s]` gets, for each of the side's pieces on `s`
+ * that stands alone between the king and one of the side's sliders moving
+ * along that line (a discovered-check blocker), the squares between the
+ * king and that slider; a move from `s` to a square off that set uncovers
+ * the check. It is 0 for every other square, since a blocker's set holds
+ * at least its own square.
+ */
+static void _check_squares(const unsigned char *sq, int king, int white,
+                           Mask direct[BK + 1], Mask opens[64])
+{
+    int pw = white ? WP : BP, kn = white ? WN : BN, bi = white ? WB : BB;
+    int rk = white ? WR : BR, qu = white ? WQ : BQ;
+    int kf = king & 7, kr = king >> 3, d, f, r;
+    Mask lines[2] = {0, 0}; /* the rook's and the bishop's squares */
+
+    memset(direct, 0, (BK + 1) * sizeof(Mask));
+    memset(opens, 0, 64 * sizeof(Mask));
+    /* a pawn attacks the king from one rank behind it, seen from its side */
+    r = white ? kr - 1 : kr + 1;
+    for (f = kf - 1; f <= kf + 1; f += 2)
+        if (ON_BOARD(f, r))
+            direct[pw] |= BIT(r * 8 + f);
+    for (d = 0; d < 8; d++) {
+        f = kf + KNIGHT[d][0];
+        r = kr + KNIGHT[d][1];
+        if (ON_BOARD(f, r))
+            direct[kn] |= BIT(r * 8 + f);
+    }
+    for (d = 0; d < 8; d++) {
+        int slider = d < 4 ? rk : bi, blocker = -1;
+        Mask between = 0;
+        for (f = kf + RAYS[d][0], r = kr + RAYS[d][1]; ON_BOARD(f, r);
+             f += RAYS[d][0], r += RAYS[d][1]) {
+            int s = r * 8 + f, p = sq[s];
+            if (blocker < 0)
+                lines[d >= 4] |= BIT(s);
+            if (p != EMPTY) {
+                if (blocker >= 0) {
+                    if (p == slider || p == qu)
+                        opens[blocker] = between;
+                    break;
+                }
+                if ((p <= 6) != white)
+                    break;
+                blocker = s;
+            }
+            between |= BIT(s);
+        }
+    }
+    direct[bi] = lines[1];
+    direct[rk] = lines[0];
+    direct[qu] = lines[0] | lines[1];
+}
+
+/* Whether the legal move frm, to, promo, flags gives check to the enemy
+ * king on `king`: the per-move test of `checking_moves` in
+ * `_movegen_py.py`. `direct` and `opens` come from `_check_squares`. En
+ * passant, castling and promotions are made on `arr`, tested with
+ * `attacked` and unmade; any other move is one lookup in each set.
+ */
+static int _gives_check(unsigned char *arr, int stm, int king,
+                        const Mask *direct, const Mask *opens, int frm, int to,
+                        int promo, int flags)
+{
+    int p = arr[frm], check;
+    if (promo || (flags & FULL_TEST_FLAGS)) {
+        Undo u = _make(arr, stm, frm, to, promo, flags);
+        check = attacked(arr, king, stm == 0);
+        _unmake(arr, stm, frm, to, flags, u);
+        return check;
+    }
+    /* (`p <= BK`: a squares buffer may hold any byte) */
+    return (p <= BK && (direct[p] & BIT(to)))
+           || (opens[frm] && !(opens[frm] & BIT(to)));
+}
+
 static int _update_castling(int castling, int frm, int to)
 {
     if (frm == 4)
@@ -549,7 +633,9 @@ static long long _perft_inner(unsigned char *arr, int stm, int castling,
 /* Read the positional arguments of `name` as `spec` lists them, one letter
  * each: 's' a 64-byte squares buffer, copied into `sq`; 'q' a square index
  * in 0..63, 'i' an int and 'b' a truth value, each into `ints` at its
- * argument's position. Returns -1 with an exception set on a bad argument.
+ * argument's position; 'm' a sequence of moves, which the entry reads
+ * itself (`parse_move`). Returns -1 with an exception set on a bad
+ * argument.
  */
 static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
                  const char *spec, unsigned char *sq, int *ints)
@@ -577,7 +663,7 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
         } else if (spec[i] == 'b') {
             if ((ints[i] = PyObject_IsTrue(args[i])) < 0)
                 return -1;
-        } else {
+        } else if (spec[i] != 'm') {
             int overflow;
             long v = PyLong_AsLongAndOverflow(args[i], &overflow);
             if (v == -1 && PyErr_Occurred())
@@ -596,6 +682,33 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
         }
     }
     return 0;
+}
+
+/* -1 with a ValueError set if `flags` mark an en-passant move whose
+   captured pawn, one rank behind `to`, would be off the board. */
+static int check_ep_square(const char *name, int stm, int to, int flags)
+{
+    int cap = stm == 0 ? to - 8 : to + 8;
+    if ((flags & FLAG_EP) && (cap < 0 || cap > 63)) {
+        PyErr_Format(PyExc_ValueError, "%s(): square %d not in 0..63", name, cap);
+        return -1;
+    }
+    return 0;
+}
+
+/* Read one move of `name`'s moves argument, a (frm, to, promo, flags)
+   tuple, into `m`, as `parse` reads the arguments "qqii". Returns -1 with
+   an exception set on a bad move. */
+static int parse_move(PyObject *item, const char *name, int stm, int *m)
+{
+    if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s(): a move must be a (frm, to, promo, flags) tuple", name);
+        return -1;
+    }
+    if (parse(PySequence_Fast_ITEMS(item), 4, name, "qqii", NULL, m) < 0)
+        return -1;
+    return check_ep_square(name, stm, m[1], m[3]);
 }
 
 /* The squares of `set` as a list, ascending. */
@@ -693,12 +806,41 @@ ENTRY(has_legal_move)
     return PyBool_FromLong(has_legal_move(arr, a[1], a[2], a[3]));
 }
 
+ENTRY(checking_moves)
+{
+    unsigned char arr[64];
+    int a[5], king, m[4];
+    Py_ssize_t i;
+    Mask direct[BK + 1], opens[64];
+    PyObject *moves, *out;
+    if (parse(args, nargs, "checking_moves", "siiim", arr, a) < 0)
+        return NULL;
+    if (!(moves = PySequence_Fast(args[4], "checking_moves(): moves must be a sequence")))
+        return NULL;
+    king = _king_square(arr, a[1] != 0);
+    if (king >= 0)
+        _check_squares(arr, king, a[1] == 0, direct, opens);
+    out = PyList_New(0);
+    for (i = 0; out && i < PySequence_Fast_GET_SIZE(moves); i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(moves, i);
+        if (parse_move(item, "checking_moves", a[1], m) < 0)
+            Py_CLEAR(out);
+        else if (king >= 0
+                 && _gives_check(arr, a[1], king, direct, opens, m[0], m[1], m[2], m[3])
+                 && PyList_Append(out, item) < 0)
+            Py_CLEAR(out);
+    }
+    Py_DECREF(moves);
+    return out;
+}
+
 ENTRY(apply_move)
 {
     unsigned char arr[64];
     int a[10], stm, frm, to, flags, pawn;
     Undo u;
-    if (parse(args, nargs, "apply_move", "siiiiiqqii", arr, a) < 0)
+    if (parse(args, nargs, "apply_move", "siiiiiqqii", arr, a) < 0
+            || check_ep_square("apply_move", a[1], a[7], a[9]) < 0)
         return NULL;
     stm = a[1];
     frm = a[6];
@@ -735,6 +877,7 @@ static PyMethodDef methods[] = {
     METHOD(in_check, "Whether the king of the given color is attacked."),
     METHOD(legal_moves, "Sorted legal moves for the side to move."),
     METHOD(has_legal_move, "Whether the side to move has a legal move; `bool(legal_moves(...))`."),
+    METHOD(checking_moves, "The moves of `moves` that give check, in their given order."),
     METHOD(apply_move, "Apply one move; returns the new (squares, stm, castling, ep, halfmove, fullmove)."),
     METHOD(perft, "Leaf count of the legal game tree at exactly `depth`."),
     {NULL, NULL, 0, NULL},

@@ -44,9 +44,18 @@ def _square_error(name, s):
     return ValueError(f"{name}(): square {s} not in 0..63")
 
 
+def _check_ep_square(name, white, to, flags):
+    """ValueError unless an en-passant move's captured pawn is on the board."""
+    if flags & FLAG_EP:
+        cap = to - 8 if white else to + 8
+        if not 0 <= cap <= 63:
+            raise _square_error(name, cap)
+
+
 # The public entries check their arguments as the compiled kernel does:
-# the squares must be 64 bytes and a square index must lie in 0..63. The
-# internal helpers they call trust their arguments.
+# the squares must be 64 bytes and a square index, an en-passant move's
+# captured square included, must lie in 0..63. The internal helpers they
+# call trust their arguments.
 
 
 def attacked(sq, target, by_white):
@@ -498,6 +507,116 @@ def has_legal_move(sq, stm, castling, ep):
     return False
 
 
+def _check_squares(sq, king, white):
+    """How the side of the given color can check the enemy king on `king`.
+
+    Returns `(direct, opens)`. `direct[p]` holds the squares from which
+    the side's piece with code `p` would attack the king on the board as
+    it stands: a pawn's and a knight's from their offsets, a bishop's,
+    rook's and queen's along the rays out from the king up to and including
+    the first occupied square. A king gives no direct check, since a legal
+    king move never lands next to the other king. `opens` maps each of the
+    side's pieces that stands alone between the king and one of the side's
+    sliders moving along that line (a discovered-check blocker) to the
+    squares between the king and that slider; a move from it to a square
+    off that set uncovers the check.
+    """
+    if white:
+        pw, rk, bi, qu, base = WP, WR, WB, WQ, 0
+    else:
+        pw, rk, bi, qu, base = BP, BR, BB, BQ, 6
+    kf = king & 7
+    kr = king >> 3
+    # a pawn attacks the king from one rank behind it, seen from its side
+    pawn = 0
+    r = kr - 1 if white else kr + 1
+    if 0 <= r <= 7:
+        for f in (kf - 1, kf + 1):
+            if 0 <= f <= 7:
+                pawn |= 1 << (r * 8 + f)
+    knight = 0
+    for df, dr in _KNIGHT:
+        f, r = kf + df, kr + dr
+        if 0 <= f <= 7 and 0 <= r <= 7:
+            knight |= 1 << (r * 8 + f)
+    lines = [0, 0]  # the rook's and the bishop's squares
+    opens = {}
+    for line, dirs, slider in ((0, _ORTH, rk), (1, _DIAG, bi)):
+        for df, dr in dirs:
+            f, r = kf + df, kr + dr
+            between = 0
+            blocker = -1
+            while 0 <= f <= 7 and 0 <= r <= 7:
+                s = r * 8 + f
+                if blocker < 0:
+                    lines[line] |= 1 << s
+                p = sq[s]
+                if p != EMPTY:
+                    if blocker >= 0:
+                        if p == slider or p == qu:
+                            opens[blocker] = between
+                        break
+                    if (p <= 6) != white:
+                        break
+                    blocker = s
+                between |= 1 << s
+                f += df
+                r += dr
+    direct = [0] * 13
+    direct[base + WP] = pawn
+    direct[base + WN] = knight
+    direct[base + WB] = lines[1]
+    direct[base + WR] = lines[0]
+    direct[base + WQ] = lines[0] | lines[1]
+    return direct, opens
+
+
+def checking_moves(sq, stm, castling, ep, moves):
+    """The moves of `moves` that give check, in their given order.
+
+    `moves` are `(frm, to, promo, flags)` legal moves of the position
+    `(sq, stm, castling, ep)`, as `legal_moves` returns them; their flags
+    say which are castling and en passant, so `castling` and `ep` are
+    taken only to give the position in the shape the other entries do.
+    The enemy king is found, and its direct-check squares and the
+    discovered-check blockers computed, once per call (`_check_squares`).
+    A move then gives check when its piece lands on a square from which its
+    kind attacks the king, or leaves a blocker's square for one off the
+    line it blocks (both at once is a double check). En passant, castling
+    and promotions change more than one square or the moving piece's kind:
+    each is made, tested with `attacked` and unmade. Without an enemy king
+    no move gives check, as `in_check` says.
+    """
+    if len(sq) != 64:
+        raise _squares_error("checking_moves", sq)
+    white = stm == 0
+    for frm, to, promo, flags in moves:
+        if not 0 <= frm <= 63:
+            raise _square_error("checking_moves", frm)
+        if not 0 <= to <= 63:
+            raise _square_error("checking_moves", to)
+        _check_ep_square("checking_moves", white, to, flags)
+    arr = bytearray(sq)
+    king = _king_square(arr, not white)
+    if king < 0:
+        return []
+    direct, opens = _check_squares(arr, king, white)
+    out = []
+    for m in moves:
+        frm, to, promo, flags = m
+        if promo or flags & _FULL_TEST_FLAGS:
+            undo = _make(arr, stm, frm, to, promo, flags)
+            check = _attacked(arr, king, white)
+            _unmake(arr, stm, frm, to, promo, flags, undo)
+        else:
+            line = opens.get(frm)
+            check = direct[arr[frm]] >> to & 1 or (
+                line is not None and not line >> to & 1)
+        if check:
+            out.append(m)
+    return out
+
+
 def _update_castling(castling, frm, to):
     if frm == 4:
         castling &= ~(CASTLE_WK | CASTLE_WQ)
@@ -522,6 +641,7 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
         raise _square_error("apply_move", frm)
     if not 0 <= to <= 63:
         raise _square_error("apply_move", to)
+    _check_ep_square("apply_move", stm == 0, to, flags)
     arr = bytearray(sq)
     pawn = arr[frm] in (WP, BP)
     undo = _make(arr, stm, frm, to, promo, flags)

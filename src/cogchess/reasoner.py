@@ -323,17 +323,18 @@ def _state(board: Board) -> tuple:
             board.halfmove_clock, board.fullmove_number)
 
 
-def _ordered(mg, state, moves) -> list:
-    """(move, child, gives_check) for each of `moves`: checks, then
-    captures, then the rest, in kernel order within each class."""
-    sq, stm, castling, ep, half, full = state
-    child_white = stm == 1
-    ranks = ([], [], [])
-    for m in moves:
-        child = mg.apply_move(sq, stm, castling, ep, half, full, *m)
-        check = mg.in_check(child[0], child_white)
-        ranks[0 if check else 2 - (m[3] & 1)].append((m, child, check))
-    return ranks[0] + ranks[1] + ranks[2]
+def _ordered(checks, moves) -> list:
+    """(move, gives_check) for each of `moves`: checks, then captures,
+    then the rest, in kernel order within each class.
+
+    `checks` are the moves of `moves` that give check, as the kernel's
+    `checking_moves` returns them; no move is made to find them.
+    """
+    giving = set(checks)
+    rest = [m for m in moves if m not in giving]
+    return ([(m, True) for m in checks]
+            + [(m, False) for m in rest if m[3] & 1]
+            + [(m, False) for m in rest if not m[3] & 1])
 
 
 def _apply(mg, state, m) -> tuple:
@@ -346,13 +347,20 @@ def _mover_moves(mg, state, moves, movers_left: int):
 
     This is the mate rule that search, validation and the survival check
     share: the last mover move must be a check with no reply, and a
-    stalemate never counts.
+    stalemate never counts. Which moves give check comes from the
+    kernel's `checking_moves`, before any move is made. So at the last
+    mover ply only the checking moves are made, in kernel order; every
+    other move there is dropped unmade.
     """
-    for m, child, check in _ordered(mg, state, moves):
-        if movers_left == 1:
-            if check and not mg.has_legal_move(*child[:4]):
+    checks = mg.checking_moves(*state[:4], moves)
+    if movers_left == 1:
+        for m in checks:
+            child = _apply(mg, state, m)
+            if not mg.has_legal_move(*child[:4]):
                 yield m, child, ()
-            continue
+        return
+    for m, check in _ordered(checks, moves):
+        child = _apply(mg, state, m)
         replies = mg.legal_moves(*child[:4])
         if replies or check:
             yield m, child, replies

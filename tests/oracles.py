@@ -9,14 +9,18 @@ Keep it slow and obvious; it is the measuring stick, not the product.
 
 `enumerate_situations_reference`, `investigate_reference`,
 `match_batteries_reference`, `match_trapped_kings_reference`,
-`validate_line_reference` and `forced_loss_in_reference` are the
-exceptions: the solver's exploration step in its earlier, exhaustive form
-(build every subset, sort, truncate), its investigation step as it was
-before it kept a table of OR-node results, the battery and trapped-king
-matchers as they were before they read the relation set, and the
-validation and survival check as they were before they shared the
-search's mate rule (each with its own copy of that rule), each kept as
-the reference the current form must equal.
+`validate_line_reference`, `forced_loss_in_reference`,
+`_ordered_reference` and `checking_moves_reference` are the exceptions:
+the solver's exploration step in its earlier, exhaustive form (build
+every subset, sort, truncate), its investigation step as it was before it
+kept a table of OR-node results, the battery and trapped-king matchers as
+they were before they read the relation set, the validation and survival
+check as they were before they shared the search's mate rule (each with
+its own copy of that rule), and the move ordering and check test as they
+were before the kernel found checks without making the moves (the
+search and proof references here order their moves with
+`_ordered_reference`), each kept as the reference the current form must
+equal.
 """
 
 import itertools
@@ -30,8 +34,8 @@ from cogchess.board import (
 from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
     ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
-    LineError, SituationModel, _apply, _BudgetExhausted, _ordered, _state,
-    _uci, check_entity_cap,
+    LineError, SituationModel, _apply, _BudgetExhausted, _state, _uci,
+    check_entity_cap,
 )
 
 OPos = namedtuple("OPos", "pieces stm castles ep halfmove fullmove")
@@ -556,6 +560,26 @@ def _dedupe(instances: list) -> list:
     return out
 
 
+def _ordered_reference(mg, state, moves) -> list:
+    """(move, child, gives_check) for each of `moves`: checks, then
+    captures, then the rest, in kernel order within each class."""
+    sq, stm, castling, ep, half, full = state
+    child_white = stm == 1
+    ranks = ([], [], [])
+    for m in moves:
+        child = mg.apply_move(sq, stm, castling, ep, half, full, *m)
+        check = mg.in_check(child[0], child_white)
+        ranks[0 if check else 2 - (m[3] & 1)].append((m, child, check))
+    return ranks[0] + ranks[1] + ranks[2]
+
+
+def checking_moves_reference(mg, state, moves) -> list:
+    """The moves of `moves` that give check, found by making each one on
+    kernel `mg` and asking `in_check` of the child."""
+    return [m for m in moves
+            if mg.in_check(mg.apply_move(*state, *m)[0], state[1] == 1)]
+
+
 def investigate_reference(board: Board, situation: SituationModel, n: int,
                           budget: int) -> InvestigationResult:
     """Depth-limited AND-OR search for a forced mate in <= n mover moves.
@@ -578,7 +602,7 @@ def investigate_reference(board: Board, situation: SituationModel, n: int,
 
     def or_node(state, movers_left: int, at_root: bool) -> Optional[list]:
         spend()
-        ordered = _ordered(mg, state, mg.legal_moves(*state[:4]))
+        ordered = _ordered_reference(mg, state, mg.legal_moves(*state[:4]))
         if at_root:
             ordered = ([t for t in ordered if t[0][:3] in preferred]
                        + [t for t in ordered if t[0][:3] not in preferred])
@@ -620,7 +644,7 @@ def _proves_reference(mg, state, movers_left: int) -> bool:
     """Full-width forced-mate proof on a raw state."""
     if movers_left < 1:
         return False
-    for _, child, check in _ordered(mg, state, mg.legal_moves(*state[:4])):
+    for _, child, check in _ordered_reference(mg, state, mg.legal_moves(*state[:4])):
         if movers_left == 1:
             if check and not mg.has_legal_move(*child[:4]):
                 return True

@@ -8,6 +8,7 @@ tests skip only when that build fails.
 """
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -16,12 +17,14 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from cogchess import _movegen_py as pure
 from cogchess import board as _board
 from cogchess.board import parse_fen
 from sampling import playout_positions
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def _build_kernel(out: Path):
@@ -47,6 +50,11 @@ def compiled(tmp_path_factory):
     except ImportError:
         return _build_kernel(tmp_path_factory.mktemp("kernel"))
     return _movegen
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    return pure if request.param == "pure" else request.getfixturevalue("compiled")
 
 
 def _state(board):
@@ -148,6 +156,98 @@ def test_has_legal_move_matches_legal_moves(compiled):
         assert compiled.has_legal_move(*st) is want
 
 
+# `checking_moves` against making each move and asking `in_check`: boards
+# whose checks only the en-passant, castling and promotion make-and-test,
+# the vacated square or the discovered-check rays find. FEN, and the
+# checking moves.
+CHECKS = {
+    "en passant uncovers a rank": ("8/8/8/R2pP2k/8/8/8/K7 w - d6 0 2", {"e5d6"}),
+    "black en passant uncovers a rank": ("8/8/8/8/r2pP2K/8/8/k7 b - e3 0 1",
+                                         {"d4e3"}),
+    "castling rook checks, king side": ("5k2/8/8/8/8/8/8/4K2R w K - 0 1",
+                                        {"e1g1", "h1f1", "h1h8"}),
+    "castling rook checks, queen side": ("3k4/8/8/8/8/8/8/R3K3 w Q - 0 1",
+                                         {"e1c1", "a1d1", "a1a8"}),
+    "promotion to a knight": ("8/4P3/3k4/8/8/8/8/K7 w - - 0 1", {"e7e8n"}),
+    "promotion to a bishop": ("8/1P6/8/4k3/8/8/8/K7 w - - 0 1",
+                              {"b7b8b", "b7b8q"}),
+    "promotion to a rook": ("7k/P7/8/8/8/8/8/K7 w - - 0 1", {"a7a8r", "a7a8q"}),
+    "black promotion to a knight": ("k7/8/8/8/8/3K4/4p3/8 b - - 0 1", {"e2e1n"}),
+    # the new piece's line to the king runs through the pawn's own square
+    "capture-promotion through the vacated square": (
+        "3r4/4P3/5k2/8/8/8/8/K7 w - - 0 1", {"e7d8b", "e7d8q", "e7e8n"}),
+    "push-promotion through the vacated square": (
+        "8/4P3/8/4k3/8/8/8/K7 w - - 0 1", {"e7e8q", "e7e8r"}),
+    "king move uncovers a rank": ("8/8/8/8/8/8/8/R2K3k w - - 0 1",
+                                  {"d1c2", "d1d2", "d1e2"}),
+    # d6 and f6 check twice, the knight's other squares once, by the rook
+    "double check": ("4k3/8/8/8/4N3/8/8/K3R3 w - - 0 1",
+                     {"e4c3", "e4c5", "e4d2", "e4d6", "e4f2", "e4f6", "e4g3",
+                      "e4g5"}),
+}
+
+
+def _full_state(board):
+    return _state(board) + (board.halfmove_clock, board.fullmove_number)
+
+
+@pytest.fixture(scope="module")
+def check_test_states():
+    """The 1000 playout positions, and the desk-40 and motif-72 boards with
+    each of their children."""
+    boards = playout_positions(1000, seed=61)
+    desk = [json.loads(line)["fen"] for line in
+            (DATA / "puzzles_desk40.jsonl").read_text().splitlines()]
+    motif = [row.split("\t")[0] for row in
+             (DATA / "motif72_golden.tsv").read_text().splitlines()[1:-1]]
+    for fen in desk + motif:
+        b = parse_fen(fen)
+        boards.append(b)
+        boards.extend(b.apply_move(m) for m in b.legal_moves())
+    return [_full_state(b) for b in boards]
+
+
+def test_checking_moves_match_make_and_test(kernel, check_test_states):
+    checks = 0
+    for st in check_test_states:
+        moves = pure.legal_moves(*st[:4])
+        want = oracles.checking_moves_reference(pure, st, moves)
+        assert kernel.checking_moves(*st[:4], moves) == want, st
+        checks += len(want)
+    assert checks > 1000  # the boards are not short of checks
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_checking_moves_on_hand_made_boards(kernel, name):
+    fen, ucis = CHECKS[name]
+    st = _full_state(parse_fen(fen))
+    moves = pure.legal_moves(*st[:4])
+    got = kernel.checking_moves(*st[:4], moves)
+    assert got == oracles.checking_moves_reference(pure, st, moves)
+    assert {_uci(m) for m in got} == ucis
+
+
+def test_checking_moves_without_an_enemy_king(kernel):
+    """A board with no enemy king gives no check, as `in_check` says."""
+    for fen in ("4k3/8/8/8/8/8/3Q4/K7 w - - 0 1", "4k3/3q4/8/8/8/8/8/K7 b - - 0 1"):
+        st = _full_state(parse_fen(fen))
+        moves = pure.legal_moves(*st[:4])
+        assert kernel.checking_moves(*st[:4], moves)
+        enemy = pure.WK if st[1] else pure.BK
+        kingless = st[0].replace(bytes([enemy]), bytes([pure.EMPTY]))
+        moves = pure.legal_moves(kingless, *st[1:4])
+        assert moves
+        assert kernel.checking_moves(kingless, *st[1:4], moves) == []
+
+
+def test_checking_moves_keep_the_given_order(kernel):
+    st = _state(parse_fen(CHECKS["double check"][0]))
+    moves = pure.legal_moves(*st)[::-1]
+    got = kernel.checking_moves(*st, moves)
+    assert got == [m for m in moves if m in got]
+    assert kernel.checking_moves(*st, []) == []
+
+
 def _public(module):
     return {name for name in dir(module) if not name.startswith("_")}
 
@@ -182,6 +282,7 @@ ENTRY_ARGS = {
     "in_check": lambda sq: (sq, True),
     "legal_moves": lambda sq: (sq, 0, 0, -1),
     "has_legal_move": lambda sq: (sq, 0, 0, -1),
+    "checking_moves": lambda sq: (sq, 0, 0, -1, [(12, 28, 0, 16)]),
     "apply_move": lambda sq: (sq, 0, 0, -1, 0, 1, 12, 28, 0, 16),
     "perft": lambda sq: (sq, 0, 0, -1, 1),
 }
@@ -198,6 +299,9 @@ def _rejects_square_off_board(kernel, target):
     for name, args in (("attacked", (sq, target, True)),
                        ("attackers", (sq, target, False)),
                        ("attack_targets", (sq, target)),
+                       ("checking_moves", (sq, 0, 0, -1, [(target, 28, 0, 0)])),
+                       ("checking_moves", (sq, 0, 0, -1, [(12, 28, 0, 0),
+                                                          (12, target, 0, 0)])),
                        ("apply_move", (sq, 0, 0, -1, 0, 1, target, 28, 0, 0)),
                        ("apply_move", (sq, 0, 0, -1, 0, 1, 12, target, 0, 0))):
         with pytest.raises(ValueError,
@@ -231,3 +335,17 @@ def test_compiled_rejects_square_off_board(compiled, target):
 @OFF_BOARD
 def test_pure_rejects_square_off_board(target):
     _rejects_square_off_board(pure, target)
+
+
+@pytest.mark.parametrize("stm, to, captured", [(0, 3, -5), (1, 60, 68)])
+def test_rejects_en_passant_capture_off_board(kernel, stm, to, captured):
+    """An en-passant move's captured pawn stands beside its target; the
+    kernels reject one that would stand off the board instead of writing
+    there."""
+    sq = _board.start_board()._squares
+    move = (12, to, 0, pure.FLAG_CAPTURE | pure.FLAG_EP)
+    for name, args in (("apply_move", (sq, stm, 0, -1, 0, 1) + move),
+                       ("checking_moves", (sq, stm, 0, -1, [move]))):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name}(): square {captured} not in 0..63")):
+            getattr(kernel, name)(*args)

@@ -256,6 +256,27 @@ def test_investigate_table_reuses_subtrees(monkeypatch):
     assert counts[0] < counts[1]
 
 
+def test_last_mover_ply_makes_only_the_checking_moves():
+    """Only a check can mate at the last mover ply, so `_mover_moves` makes
+    one child there per checking move, and none for any other move."""
+    kernel = _board._mg
+    made = []
+    proxy = types.SimpleNamespace(**{
+        name: getattr(kernel, name) for name in dir(kernel)
+        if not name.startswith("__")})
+    proxy.apply_move = lambda *a: made.append(a[6:]) or kernel.apply_move(*a)
+    moves = children = 0
+    for rec in DESK:
+        state = reasoner._state(parse_fen(rec["fen"]))
+        legal = kernel.legal_moves(*state[:4])
+        made.clear()
+        list(reasoner._mover_moves(proxy, state, legal, 1))
+        assert made == oracles.checking_moves_reference(kernel, state, legal), rec["id"]
+        moves += len(legal)
+        children += len(made)
+    assert children < moves / 4
+
+
 def test_validate_back_rank_line():
     b = parse_fen(MATE1_FEN)
     assert validate_line(b, ["e1e8"], 1) is True
