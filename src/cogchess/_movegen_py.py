@@ -216,7 +216,8 @@ def _pseudo_moves(sq, stm, castling, ep):
             start_r = 1 if white else 6
             promo_r = 7 if white else 0
             to = i + fwd
-            if sq[to] == EMPTY:
+            # (a pawn on its last rank has no push)
+            if 0 <= to <= 63 and sq[to] == EMPTY:
                 if (to >> 3) == promo_r:
                     for pk in (WN, WB, WR, WQ):
                         moves.append((i, to, pk, 0))

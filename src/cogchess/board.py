@@ -120,10 +120,6 @@ class Piece:
     square: Square
 
 
-_FLAG_NAMES = (
-    (1, "capture"), (2, "castle-short"), (4, "castle-long"),
-    (8, "en-passant"), (16, "double-push"),
-)
 _PROMO_CODE = {None: 0, PieceKind.KNIGHT: 2, PieceKind.BISHOP: 3,
                PieceKind.ROOK: 4, PieceKind.QUEEN: 5}
 _CODE_PROMO = {v: k for k, v in _PROMO_CODE.items()}
@@ -131,10 +127,14 @@ _CODE_PROMO = {v: k for k, v in _PROMO_CODE.items()}
 
 @dataclass(frozen=True)
 class Move:
+    """A move as a player names it: from a square to a square, plus the
+    piece a pawn promotes to. What else the move does (a capture,
+    castling, en passant, a double push) the kernel decides from the
+    board it is played on."""
+
     from_sq: Square
     to_sq: Square
     promotion: Optional[PieceKind] = None
-    flags: frozenset = frozenset()
 
     @property
     def uci(self) -> str:
@@ -148,17 +148,13 @@ class Move:
 
 
 def _move_from_tuple(t) -> Move:
-    frm, to, promo, flags = t
-    names = frozenset(name for bit, name in _FLAG_NAMES if flags & bit)
-    return Move(Square.from_index(frm), Square.from_index(to), _CODE_PROMO[promo], names)
+    frm, to, promo, _ = t
+    return Move(Square.from_index(frm), Square.from_index(to), _CODE_PROMO[promo])
 
 
 def _move_to_tuple(m: Move):
-    bits = 0
-    for bit, name in _FLAG_NAMES:
-        if name in m.flags:
-            bits |= bit
-    return (m.from_sq.index, m.to_sq.index, _PROMO_CODE[m.promotion], bits)
+    """The `(frm, to, promo)` key of the kernel's move tuples for `m`."""
+    return (m.from_sq.index, m.to_sq.index, _PROMO_CODE[m.promotion])
 
 
 @dataclass(frozen=True)
@@ -234,46 +230,40 @@ class Board:
 
     def apply_move(self, move: Move) -> "Board":
         """Apply a legal move, returning the successor board."""
-        t = _move_to_tuple(move)
-        legal = _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep)
-        if t not in legal:
-            raise IllegalMoveError(f"illegal move {move.uci} in {emit_fen(self)}")
-        return self._apply_raw(t)
+        key = _move_to_tuple(move)
+        for t in _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep):
+            if t[:3] == key:
+                return self._apply_raw(t)
+        raise IllegalMoveError(f"illegal move {move.uci} in {emit_fen(self)}")
 
     def _apply_raw(self, t) -> "Board":
-        frm, to, promo, flags = t
+        """The successor after the kernel's legal move tuple `t`.
+
+        The kernel makes the move; here piece ids only follow it. A piece
+        stays where its square keeps its code. A square that gains a piece
+        gets the mover at the move's target (a promoted pawn under a new
+        id) and otherwise the piece that left a square with that code
+        (the castling rook).
+        """
+        frm, to, _, _ = t
         nsq, nstm, ncast, nep, nhalf, nfull = _mg.apply_move(
             self._squares, self._stm, self.castling.mask, self._ep,
-            self.halfmove_clock, self.fullmove_number, frm, to, promo, flags)
-
+            self.halfmove_clock, self.fullmove_number, *t)
+        old = self._squares
         by_index = {p.square.index: p for p in self.pieces}
+        left = {old[i]: p for i, p in by_index.items() if nsq[i] != old[i]}
         pieces = []
-        mover = by_index[frm]
-        cap_sq = to
-        if flags & 8:  # en-passant: victim is on the bypassed square
-            cap_sq = to - 8 if self.side_to_move is Color.WHITE else to + 8
-        for idx, p in by_index.items():
-            if idx == frm or idx == cap_sq:
+        for i, code in enumerate(nsq):
+            if not code:
                 continue
-            pieces.append(p)
-        if promo:
-            new_id = f"{mover.id}={_FEN_LETTER[_CODE_PROMO[promo]]}{self.fullmove_number}"
-            pieces.append(Piece(new_id, _CODE_PROMO[promo], mover.color,
-                                Square.from_index(to)))
-        else:
-            pieces.append(Piece(mover.id, mover.kind, mover.color, Square.from_index(to)))
-        if flags & 2:  # short castle: rook h-file -> f-file
-            rook_frm, rook_to = (7, 5) if self.side_to_move is Color.WHITE else (63, 61)
-            rook = by_index[rook_frm]
-            pieces = [p for p in pieces if p.square.index != rook_frm]
-            pieces.append(Piece(rook.id, rook.kind, rook.color, Square.from_index(rook_to)))
-        elif flags & 4:  # long castle: rook a-file -> d-file
-            rook_frm, rook_to = (0, 3) if self.side_to_move is Color.WHITE else (56, 59)
-            rook = by_index[rook_frm]
-            pieces = [p for p in pieces if p.square.index != rook_frm]
-            pieces.append(Piece(rook.id, rook.kind, rook.color, Square.from_index(rook_to)))
-
-        pieces.sort(key=lambda p: p.square.index)
+            if code == old[i]:
+                pieces.append(by_index[i])
+                continue
+            p = by_index[frm] if i == to else left[code]
+            kind = _CODE_KIND[code - 6 if code > 6 else code]
+            pid = p.id if kind is p.kind else \
+                f"{p.id}={_FEN_LETTER[kind]}{self.fullmove_number}"
+            pieces.append(Piece(pid, kind, p.color, Square.from_index(i)))
         return Board(
             pieces=tuple(pieces),
             side_to_move=Color.WHITE if nstm == 0 else Color.BLACK,

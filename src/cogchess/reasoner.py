@@ -390,7 +390,7 @@ def investigate(board: Board, situation: SituationModel, n: int,
     if n < 1 or budget < 1:
         raise ValueError("need n >= 1 and budget >= 1")
     mg = _board._mg
-    preferred = {_move_to_tuple(m)[:3] for m in situation.moves}
+    preferred = {_move_to_tuple(m) for m in situation.moves}
     table = {} if table is None else table
     counter = {"nodes": 0}
 
@@ -458,17 +458,18 @@ def investigate(board: Board, situation: SituationModel, n: int,
 def _proves(mg, state, movers_left: int, script=()) -> bool:
     """Full-width forced-mate proof on a raw state.
 
-    With a `script` (a tuple of UCI strings), the mover plays only the
-    scripted move; after the scripted reply the proof follows the rest of
-    the script, and every other reply is proved full-width.
+    With a `script` (a tuple of the kernel's move tuples, mover and
+    opponent interleaved), the mover plays only the scripted move; after
+    the scripted reply the proof follows the rest of the script, and
+    every other reply is proved full-width.
     """
     if movers_left < 1:
         return False
-    moves = [_find(mg, state, script[0])] if script else mg.legal_moves(*state[:4])
+    moves = script[:1] or mg.legal_moves(*state[:4])
     expected = script[1] if len(script) > 1 else None
     for _, child, replies in _mover_moves(mg, state, moves, movers_left):
         if all(_proves(mg, _apply(mg, child, r), movers_left - 1,
-                       script[2:] if expected and _uci(r) == expected else ())
+                       script[2:] if r == expected else ())
                for r in replies):
             return True
     return False
@@ -494,18 +495,21 @@ def _find(mg, state, uci: str):
 def validate_line(board: Board, line, n: int) -> bool:
     """Does the line force mate in <= n mover moves against every defense?
 
-    The mover follows the scripted moves while the opponent complies with
-    the line; on any deviation the continuation is re-proved full-width.
-    Raises LineError if the line itself is not a legal sequence.
+    `line` holds Moves or UCI strings. It is replayed once into the
+    kernel's move tuples, which are the proof's script: the mover follows
+    the scripted moves while the opponent complies with the line; on any
+    deviation the continuation is re-proved full-width. Raises LineError
+    if the line itself is not a legal sequence.
     """
     if not line or len(line) > 2 * n - 1:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
-    ucis = tuple(m.uci if isinstance(m, Move) else str(m) for m in line)
     mg = _board._mg
     start = pos = _state(board)
-    for u in ucis:
-        pos = _apply(mg, pos, _find(mg, pos, u))
-    return _proves(mg, start, n, ucis)
+    script = []
+    for m in line:
+        script.append(_find(mg, pos, m.uci if isinstance(m, Move) else str(m)))
+        pos = _apply(mg, pos, script[-1])
+    return _proves(mg, start, n, tuple(script))
 
 
 def forced_loss_in(board: Board, n: int) -> Optional[int]:

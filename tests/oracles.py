@@ -10,7 +10,8 @@ Keep it slow and obvious; it is the measuring stick, not the product.
 `enumerate_situations_reference`, `investigate_reference`,
 `match_batteries_reference`, `match_trapped_kings_reference`,
 `validate_line_reference`, `forced_loss_in_reference`,
-`_ordered_reference` and `checking_moves_reference` are the exceptions:
+`_ordered_reference`, `checking_moves_reference` and
+`apply_move_reference` are the exceptions:
 the solver's exploration step in its earlier, exhaustive form (build
 every subset, sort, truncate), its investigation step as it was before it
 kept a table of OR-node results, the battery and trapped-king matchers as
@@ -19,8 +20,10 @@ check as they were before they shared the search's mate rule (each with
 its own copy of that rule), and the move ordering and check test as they
 were before the kernel found checks without making the moves (the
 search and proof references here order their moves with
-`_ordered_reference`), each kept as the reference the current form must
-equal.
+`_ordered_reference`), and the board's piece bookkeeping as it was
+before it followed the kernel's successor squares (with its own rules
+for the castling rook and the en-passant victim), each kept as the
+reference the current form must equal.
 """
 
 import itertools
@@ -29,7 +32,8 @@ from typing import Optional
 
 from cogchess import board as _board
 from cogchess.board import (
-    Board, Color, Move, PieceKind, Square, _move_from_tuple, _move_to_tuple,
+    Board, CastlingRights, Color, Move, Piece, PieceKind, Square,
+    _CODE_PROMO, _FEN_LETTER, _move_from_tuple, _move_to_tuple,
 )
 from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
@@ -721,3 +725,49 @@ def forced_loss_in_reference(board: Board, n: int) -> Optional[int]:
         if all(_proves_reference(mg, _apply(mg, state, m), k) for m in moves):
             return k
     return None
+
+
+def apply_move_reference(board: Board, t) -> Board:
+    """The successor of `board` after the kernel's legal move tuple `t`,
+    with the castling rook and the en-passant victim placed by rule."""
+    frm, to, promo, flags = t
+    nsq, nstm, ncast, nep, nhalf, nfull = _board._mg.apply_move(
+        board._squares, board._stm, board.castling.mask, board._ep,
+        board.halfmove_clock, board.fullmove_number, frm, to, promo, flags)
+
+    by_index = {p.square.index: p for p in board.pieces}
+    pieces = []
+    mover = by_index[frm]
+    cap_sq = to
+    if flags & 8:  # en-passant: victim is on the bypassed square
+        cap_sq = to - 8 if board.side_to_move is Color.WHITE else to + 8
+    for idx, p in by_index.items():
+        if idx == frm or idx == cap_sq:
+            continue
+        pieces.append(p)
+    if promo:
+        new_id = f"{mover.id}={_FEN_LETTER[_CODE_PROMO[promo]]}{board.fullmove_number}"
+        pieces.append(Piece(new_id, _CODE_PROMO[promo], mover.color,
+                            Square.from_index(to)))
+    else:
+        pieces.append(Piece(mover.id, mover.kind, mover.color, Square.from_index(to)))
+    if flags & 2:  # short castle: rook h-file -> f-file
+        rook_frm, rook_to = (7, 5) if board.side_to_move is Color.WHITE else (63, 61)
+        rook = by_index[rook_frm]
+        pieces = [p for p in pieces if p.square.index != rook_frm]
+        pieces.append(Piece(rook.id, rook.kind, rook.color, Square.from_index(rook_to)))
+    elif flags & 4:  # long castle: rook a-file -> d-file
+        rook_frm, rook_to = (0, 3) if board.side_to_move is Color.WHITE else (56, 59)
+        rook = by_index[rook_frm]
+        pieces = [p for p in pieces if p.square.index != rook_frm]
+        pieces.append(Piece(rook.id, rook.kind, rook.color, Square.from_index(rook_to)))
+
+    pieces.sort(key=lambda p: p.square.index)
+    return Board(
+        pieces=tuple(pieces),
+        side_to_move=Color.WHITE if nstm == 0 else Color.BLACK,
+        castling=CastlingRights.from_mask(ncast),
+        en_passant=Square.from_index(nep) if nep >= 0 else None,
+        halfmove_clock=nhalf,
+        fullmove_number=nfull,
+    )

@@ -1,14 +1,22 @@
 """Board module tests: FEN round-trips, move legality, terminal detection,
 and oracle equivalence of the move generator."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 import oracles
+from cogchess import board as _board
+from cogchess._movegen_py import FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP
 from cogchess.board import (
-    Color, FenError, GameStatus, IllegalMoveError, PieceKind, Square,
+    Color, FenError, GameStatus, IllegalMoveError, Move, PieceKind, Square,
     emit_fen, parse_fen, start_board, START_FEN,
 )
 from sampling import playout_positions, random_playout
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_parse_minimal_position():
@@ -116,10 +124,83 @@ def test_apply_en_passant_removes_bypassed_pawn():
 
 
 def test_apply_rejects_illegal_move():
-    b = start_board()
-    with pytest.raises(IllegalMoveError):
-        b.apply_move(b.find_move("e2e4").__class__(
-            Square.from_name("e2"), Square.from_name("e5")))
+    """A `Move` that names no legal move of the board is rejected."""
+    for fen, frm, to, promotion in (
+            (START_FEN, "e2", "e5", None),
+            (START_FEN, "e1", "g1", None),  # castling through its own pieces
+            ("8/4P3/8/8/8/k7/8/K7 w - - 0 1", "e7", "e8", None),  # must promote
+            ("4k3/8/8/8/8/8/4P3/4K3 w - - 0 1", "e2", "e3", PieceKind.QUEEN)):
+        with pytest.raises(IllegalMoveError):
+            parse_fen(fen).apply_move(
+                Move(Square.from_name(frm), Square.from_name(to), promotion))
+
+
+# Moves built by hand from their squares, each on a board where it is
+# legal: FEN, from, to, promotion, and the FEN after the move.
+HAND_BUILT = {
+    "double push": (START_FEN, "e2", "e4", None,
+                    "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1"),
+    "capture": ("4k3/8/8/3p4/4P3/8/8/4K3 w - - 3 9", "e4", "d5", None,
+                "4k3/8/8/3P4/8/8/8/4K3 b - - 0 9"),
+    "short castling": ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "e1", "g1", None,
+                       "r3k2r/8/8/8/8/8/8/R4RK1 b kq - 1 1"),
+    "long castling": ("r3k2r/8/8/8/8/8/8/R3K2R b KQkq - 0 1", "e8", "c8", None,
+                      "2kr3r/8/8/8/8/8/8/R3K2R w KQ - 1 2"),
+    "en passant": ("4k3/8/8/3pP3/8/8/8/4K3 w - d6 0 2", "e5", "d6", None,
+                   "4k3/8/3P4/8/8/8/8/4K3 b - - 0 2"),
+    "promotion": ("8/4P3/8/8/8/k7/8/K7 w - - 0 1", "e7", "e8", PieceKind.QUEEN,
+                  "4Q3/8/8/8/8/k7/8/K7 b - - 0 1"),
+    "under-promotion": ("3r4/4P3/8/8/8/k7/8/K7 w - - 0 1", "e7", "d8",
+                        PieceKind.KNIGHT, "3N4/8/8/8/8/k7/8/K7 b - - 0 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_apply_accepts_hand_built_move(name):
+    fen, frm, to, promotion, after = HAND_BUILT[name]
+    b = parse_fen(fen)
+    move = Move(Square.from_name(frm), Square.from_name(to), promotion)
+    assert move == b.find_move(move.uci)
+    nxt = b.apply_move(move)
+    assert emit_fen(nxt) == after
+    assert nxt == b.apply_move(b.find_move(move.uci))
+
+
+KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
+PROMOTIONS = "1r2k3/PPP5/8/3pP3/8/8/5ppp/K5R1 w - d6 0 2"
+
+
+def _piece_rows(b):
+    return [(p.id, p.kind, p.color, p.square) for p in b.pieces]
+
+
+def test_apply_matches_the_rule_based_reference():
+    """Every legal move along seeded playouts from the desk-40 boards,
+    kiwipete and a board of promoting pawns (with an en passant) carries
+    the same piece ids, kinds, colours and squares over as the rule-based
+    reference."""
+    fens = [json.loads(line)["fen"] for line in
+            (DATA / "puzzles_desk40.jsonl").read_text().splitlines()]
+    fens += [KIWIPETE, PROMOTIONS]
+    flags, promotions = set(), 0
+    for seed, fen in enumerate(fens):
+        rng = random.Random(seed)
+        b = parse_fen(fen)
+        for _ in range(12):
+            moves = b.legal_moves()
+            if not moves:
+                break
+            raw = _board._mg.legal_moves(b._squares, b._stm, b.castling.mask, b._ep)
+            for m, t in zip(moves, raw):
+                want = oracles.apply_move_reference(b, t)
+                got = b.apply_move(m)
+                assert _piece_rows(got) == _piece_rows(want), (emit_fen(b), m.uci)
+                assert emit_fen(got) == emit_fen(want)
+                flags.add(t[3] & (FLAG_CASTLE_K | FLAG_CASTLE_Q | FLAG_EP))
+                promotions += bool(t[2])
+            b = b.apply_move(rng.choice(moves))
+    # the playouts reach both castlings, en passant and promotions
+    assert flags == {0, FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP} and promotions
 
 
 def test_status_back_rank_mate():

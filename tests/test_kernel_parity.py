@@ -156,6 +156,32 @@ def test_has_legal_move_matches_legal_moves(compiled):
         assert compiled.has_legal_move(*st) is want
 
 
+def _raw_squares(pieces):
+    arr = bytearray(64)
+    for i, code in pieces.items():
+        arr[i] = code
+    return bytes(arr)
+
+
+# A pawn on its own last rank, which `parse_fen` rejects but the kernels'
+# entries take: it has no push. Squares and side to move.
+PAWN_ON_LAST_RANK = {
+    "white pawn on e8": (_raw_squares({60: pure.WP, 0: pure.WK, 47: pure.BK}), 0),
+    "black pawn on d1": (_raw_squares({3: pure.BP, 56: pure.BK, 23: pure.WK}), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAWN_ON_LAST_RANK))
+def test_pawn_on_its_last_rank_has_no_push(compiled, name):
+    sq, stm = PAWN_ON_LAST_RANK[name]
+    st = (sq, stm, 0, -1)
+    moves = pure.legal_moves(*st)
+    assert compiled.legal_moves(*st) == moves
+    assert moves and all(sq[frm] not in (pure.WP, pure.BP) for frm, _, _, _ in moves)
+    assert pure.has_legal_move(*st) is compiled.has_legal_move(*st) is True
+    assert pure.perft(*st, 2) == compiled.perft(*st, 2)
+
+
 # `checking_moves` against making each move and asking `in_check`: boards
 # whose checks only the en-passant, castling and promotion make-and-test,
 # the vacated square or the discovered-check rays find. FEN, and the
