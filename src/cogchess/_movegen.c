@@ -277,24 +277,18 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
     return n;
 }
 
-typedef struct { int p, captured, cap_sq; } Undo;
-
-/* Apply a move to a mutable array in place. Returns undo info. */
-static Undo _make(unsigned char *arr, int stm, int frm, int to, int promo,
+/* Apply a move to the mutable array `arr` in place. */
+static void _make(unsigned char *arr, int stm, int frm, int to, int promo,
                   int flags)
 {
-    int white = stm == 0;
-    Undo u = {arr[frm], arr[to], to};
-    if (flags & FLAG_EP) {
-        u.cap_sq = white ? to - 8 : to + 8;
-        u.captured = arr[u.cap_sq];
-        arr[u.cap_sq] = EMPTY;
-    }
+    int white = stm == 0, p = arr[frm];
+    if (flags & FLAG_EP)
+        arr[white ? to - 8 : to + 8] = EMPTY;
     arr[frm] = EMPTY;
     if (promo)
         arr[to] = (unsigned char)(white ? promo : promo + 6);
     else
-        arr[to] = (unsigned char)u.p;
+        arr[to] = (unsigned char)p;
     if (flags & FLAG_CASTLE_K) {
         if (white) {
             arr[7] = EMPTY;
@@ -312,38 +306,10 @@ static Undo _make(unsigned char *arr, int stm, int frm, int to, int promo,
             arr[59] = BR;
         }
     }
-    return u;
 }
 
-static void _unmake(unsigned char *arr, int stm, int frm, int to, int flags,
-                    Undo u)
-{
-    int white = stm == 0;
-    arr[frm] = (unsigned char)u.p;
-    arr[to] = EMPTY;
-    if (u.captured != EMPTY)
-        arr[u.cap_sq] = (unsigned char)u.captured;
-    if (flags & FLAG_CASTLE_K) {
-        if (white) {
-            arr[5] = EMPTY;
-            arr[7] = WR;
-        } else {
-            arr[61] = EMPTY;
-            arr[63] = BR;
-        }
-    } else if (flags & FLAG_CASTLE_Q) {
-        if (white) {
-            arr[3] = EMPTY;
-            arr[0] = WR;
-        } else {
-            arr[59] = EMPTY;
-            arr[56] = BR;
-        }
-    }
-}
-
-/* Moves that always take the make/attacked/unmake test: en passant empties
-   two squares of one rank, and castling moves the king. */
+/* Moves that are always made on a copy and tested with `attacked`: en
+   passant empties two squares of one rank, and castling moves the king. */
 #define FULL_TEST_FLAGS (FLAG_EP | FLAG_CASTLE_K | FLAG_CASTLE_Q)
 
 /* Pinned pieces and check evasions of the side whose king is on `king`.
@@ -427,12 +393,12 @@ static void _pins_and_evasions(const unsigned char *sq, int king, int white,
  * `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A move
  * by a piece other than the king that misses the evasion squares is
  * illegal; one that is not en passant or castling, by a piece that is not
- * pinned, is legal otherwise. Every other move is made on `arr`, tested
- * with `attacked` and unmade. A king move (castling included) leaves its
- * king on the move's target.
+ * pinned, is legal otherwise. Every other move is made on a copy of `sq`
+ * and tested there with `attacked`. A king move (castling included) leaves
+ * its king on the move's target.
  */
-static int _legal_among(unsigned char *arr, int stm, const int *moves, int n,
-                        int king, Mask pinned, Mask evasions, int *out)
+static int _legal_among(const unsigned char *sq, int stm, const int *moves,
+                        int n, int king, Mask pinned, Mask evasions, int *out)
 {
     int white = stm == 0, count = 0, i;
     for (i = 0; i < n; i++) {
@@ -441,10 +407,10 @@ static int _legal_among(unsigned char *arr, int stm, const int *moves, int n,
         if (!full_test && !(evasions & BIT(to)))
             continue;
         if (full_test || (pinned & BIT(frm))) {
-            Undo u = _make(arr, stm, frm, to, M_PROMO(m), flags);
-            int safe = !attacked(arr, frm == king ? to : king, !white);
-            _unmake(arr, stm, frm, to, flags, u);
-            if (!safe)
+            unsigned char arr[64];
+            memcpy(arr, sq, 64);
+            _make(arr, stm, frm, to, M_PROMO(m), flags);
+            if (attacked(arr, frm == king ? to : king, !white))
                 continue;
         }
         if (!out)
@@ -454,59 +420,62 @@ static int _legal_among(unsigned char *arr, int stm, const int *moves, int n,
     return count;
 }
 
-/* Legal moves of the position in `arr`, in generation order, written to
+/* Legal moves of the position in `sq`, in generation order, written to
  * `out` (room for MAX_MOVES); returns their number.
  *
  * The side's king is found, and its pinned pieces and checkers computed,
  * once per position (`_pins_and_evasions`); only king moves, castling,
- * en passant and moves by pinned pieces then need make/attacked/unmake.
- * Without a king every pseudo-move is legal.
+ * en passant and moves by pinned pieces then need to be made on a copy
+ * and tested. Without a king every pseudo-move is legal.
  */
-static int _legal(unsigned char *arr, int stm, int castling, int ep, int *out)
+static int _legal(const unsigned char *sq, int stm, int castling, int ep,
+                  int *out)
 {
-    int white = stm == 0, king = _king_square(arr, white);
-    int n = _pseudo_moves(arr, stm, castling, ep, out);
+    int white = stm == 0, king = _king_square(sq, white);
+    int n = _pseudo_moves(sq, stm, castling, ep, out);
     Mask pinned, evasions;
     if (king < 0)
         return n;
-    _pins_and_evasions(arr, king, white, &pinned, &evasions);
-    return _legal_among(arr, stm, out, n, king, pinned, evasions, out);
+    _pins_and_evasions(sq, king, white, &pinned, &evasions);
+    return _legal_among(sq, stm, out, n, king, pinned, evasions, out);
 }
 
-/* Whether the side to move has a legal move; `arr` is a scratch copy.
+/* Whether the side to move has a legal move; `bool(legal_moves(...))`.
  *
  * Stops at the first legal move it finds. King steps come first, each
- * tested with the king lifted off its square. Then the other pieces'
- * pseudo-moves go through the same pin, checker and evasion filter as
- * `_legal`. Castling is not tried: it is generated only when the king's
+ * tested on a copy of the board with the king lifted off. Then the other
+ * pieces' pseudo-moves go through the same pin, checker and evasion filter
+ * as `_legal`. Castling is not tried: it is generated only when the king's
  * square and the one it crosses are not attacked, and then the plain step
  * onto that crossed square is legal already. Without a king every
  * pseudo-move is legal, as in `_legal`.
  */
-static int has_legal_move(unsigned char *arr, int stm, int castling, int ep)
+static int has_legal_move(const unsigned char *sq, int stm, int castling,
+                          int ep)
 {
-    int white = stm == 0, kc = white ? WK : BK, king = _king_square(arr, white);
+    int white = stm == 0, king = _king_square(sq, white);
     int moves[MAX_MOVES], n, others, i, d;
+    unsigned char lifted[64];
     Mask pinned, evasions;
 
     if (king < 0)
-        return _pseudo_moves(arr, stm, castling, ep, moves) > 0;
-    arr[king] = EMPTY;
+        return _pseudo_moves(sq, stm, castling, ep, moves) > 0;
+    memcpy(lifted, sq, 64);
+    lifted[king] = EMPTY;
     for (d = 0; d < 8; d++) {
         int f = (king & 7) + KING[d][0], r = (king >> 3) + KING[d][1], p;
         if (!ON_BOARD(f, r))
             continue;
-        p = arr[r * 8 + f];
-        if ((p == EMPTY || (p <= 6) != white) && !attacked(arr, r * 8 + f, !white))
+        p = sq[r * 8 + f];
+        if ((p == EMPTY || (p <= 6) != white) && !attacked(lifted, r * 8 + f, !white))
             return 1;
     }
-    arr[king] = (unsigned char)kc;
-    _pins_and_evasions(arr, king, white, &pinned, &evasions);
-    n = _pseudo_moves(arr, stm, castling, ep, moves);
+    _pins_and_evasions(sq, king, white, &pinned, &evasions);
+    n = _pseudo_moves(sq, stm, castling, ep, moves);
     for (i = others = 0; i < n; i++)
         if (M_FRM(moves[i]) != king)
             moves[others++] = moves[i];
-    return _legal_among(arr, stm, moves, others, king, pinned, evasions, NULL);
+    return _legal_among(sq, stm, moves, others, king, pinned, evasions, NULL);
 }
 
 /* How the side of the given color can check the enemy king on `king`.
@@ -573,19 +542,19 @@ static void _check_squares(const unsigned char *sq, int king, int white,
 /* Whether the legal move frm, to, promo, flags gives check to the enemy
  * king on `king`: the per-move test of `checking_moves` in
  * `_movegen_py.py`. `direct` and `opens` come from `_check_squares`. En
- * passant, castling and promotions are made on `arr`, tested with
- * `attacked` and unmade; any other move is one lookup in each set.
+ * passant, castling and promotions are made on a copy of `sq` and tested
+ * there with `attacked`; any other move is one lookup in each set.
  */
-static int _gives_check(unsigned char *arr, int stm, int king,
+static int _gives_check(const unsigned char *sq, int stm, int king,
                         const Mask *direct, const Mask *opens, int frm, int to,
                         int promo, int flags)
 {
-    int p = arr[frm], check;
+    int p = sq[frm];
     if (promo || (flags & FULL_TEST_FLAGS)) {
-        Undo u = _make(arr, stm, frm, to, promo, flags);
-        check = attacked(arr, king, stm == 0);
-        _unmake(arr, stm, frm, to, flags, u);
-        return check;
+        unsigned char arr[64];
+        memcpy(arr, sq, 64);
+        _make(arr, stm, frm, to, promo, flags);
+        return attacked(arr, king, stm == 0);
     }
     /* (`p <= BK`: a squares buffer may hold any byte) */
     return (p <= BK && (direct[p] & BIT(to)))
@@ -609,21 +578,22 @@ static int _update_castling(int castling, int frm, int to)
     return castling;
 }
 
-static long long _perft_inner(unsigned char *arr, int stm, int castling,
+static long long _perft_inner(const unsigned char *sq, int stm, int castling,
                               int ep, int depth)
 {
     int moves[MAX_MOVES];
-    int n = _legal(arr, stm, castling, ep, moves), i;
+    int n = _legal(sq, stm, castling, ep, moves), i;
     long long total = 0;
     if (depth == 1)
         return n;
     for (i = 0; i < n; i++) {
         int m = moves[i], frm = M_FRM(m), to = M_TO(m), flags = M_FLAGS(m);
-        Undo u = _make(arr, stm, frm, to, M_PROMO(m), flags);
         int new_ep = flags & FLAG_DOUBLE ? (frm + to) / 2 : -1;
+        unsigned char arr[64];
+        memcpy(arr, sq, 64);
+        _make(arr, stm, frm, to, M_PROMO(m), flags);
         total += _perft_inner(arr, 1 - stm, _update_castling(castling, frm, to),
                               new_ep, depth - 1);
-        _unmake(arr, stm, frm, to, flags, u);
     }
     return total;
 }
@@ -837,8 +807,7 @@ ENTRY(checking_moves)
 ENTRY(apply_move)
 {
     unsigned char arr[64];
-    int a[10], stm, frm, to, flags, pawn;
-    Undo u;
+    int a[10], stm, frm, to, flags, cap_sq, reset;
     if (parse(args, nargs, "apply_move", "siiiiiqqii", arr, a) < 0
             || check_ep_square("apply_move", a[1], a[7], a[9]) < 0)
         return NULL;
@@ -846,13 +815,15 @@ ENTRY(apply_move)
     frm = a[6];
     to = a[7];
     flags = a[9];
-    pawn = arr[frm] == WP || arr[frm] == BP;
-    u = _make(arr, stm, frm, to, a[8], flags);
+    /* the captured square: `to`, or en passant's victim one rank behind it */
+    cap_sq = flags & FLAG_EP ? (stm == 0 ? to - 8 : to + 8) : to;
+    reset = arr[frm] == WP || arr[frm] == BP || arr[cap_sq] != EMPTY;
+    _make(arr, stm, frm, to, a[8], flags);
     return Py_BuildValue(
         "(y#iiiLL)", (const char *)arr, (Py_ssize_t)64, 1 - stm,
         _update_castling(a[2], frm, to),
         flags & FLAG_DOUBLE ? (frm + to) / 2 : -1,
-        pawn || u.captured != EMPTY ? 0 : (long long)a[4] + 1,
+        reset ? 0 : (long long)a[4] + 1,
         (long long)a[5] + (stm == 1));
 }
 

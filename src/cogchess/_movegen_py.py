@@ -32,10 +32,6 @@ def _is_white(p):
     return 1 <= p <= 6
 
 
-def _is_black(p):
-    return p >= 7
-
-
 def _squares_error(name, sq):
     return ValueError(f"{name}(): squares must be 64 bytes, got {len(sq)}")
 
@@ -297,15 +293,11 @@ def _pseudo_moves(sq, stm, castling, ep):
 
 
 def _make(arr, stm, frm, to, promo, flags):
-    """Apply a move to a mutable array in place. Returns undo info."""
+    """Apply a move to the mutable array `arr` in place."""
     white = stm == 0
     p = arr[frm]
-    captured = arr[to]
-    cap_sq = to
     if flags & FLAG_EP:
-        cap_sq = to - 8 if white else to + 8
-        captured = arr[cap_sq]
-        arr[cap_sq] = EMPTY
+        arr[to - 8 if white else to + 8] = EMPTY
     arr[frm] = EMPTY
     if promo:
         arr[to] = promo if white else promo + 6
@@ -325,34 +317,10 @@ def _make(arr, stm, frm, to, promo, flags):
         else:
             arr[56] = EMPTY
             arr[59] = BR
-    return (p, captured, cap_sq)
 
 
-def _unmake(arr, stm, frm, to, promo, flags, undo):
-    white = stm == 0
-    p, captured, cap_sq = undo
-    arr[frm] = p
-    arr[to] = EMPTY
-    if captured != EMPTY:
-        arr[cap_sq] = captured
-    if flags & FLAG_CASTLE_K:
-        if white:
-            arr[5] = EMPTY
-            arr[7] = WR
-        else:
-            arr[61] = EMPTY
-            arr[63] = BR
-    elif flags & FLAG_CASTLE_Q:
-        if white:
-            arr[3] = EMPTY
-            arr[0] = WR
-        else:
-            arr[59] = EMPTY
-            arr[56] = BR
-
-
-# Moves that always take the make/attacked/unmake test: en passant empties
-# two squares of one rank, and castling moves the king.
+# Moves that are always made on a copy and tested with `attacked`: en
+# passant empties two squares of one rank, and castling moves the king.
 _FULL_TEST_FLAGS = FLAG_EP | FLAG_CASTLE_K | FLAG_CASTLE_Q
 
 
@@ -419,15 +387,15 @@ def _pins_and_evasions(sq, king, white):
     return pinned, evasions if checkers == 1 else 0
 
 
-def _legal_among(arr, stm, moves, king, pinned, evasions):
+def _legal_among(sq, stm, moves, king, pinned, evasions):
     """Yield the legal ones of the pseudo-moves `moves`, in their order.
 
     `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A move
     by a piece other than the king that misses the evasion squares while
     in check is illegal; one that is not en passant or castling, by a
     piece that is not pinned, is legal otherwise. Every other move is
-    made on `arr`, tested with `attacked` and unmade. A king move (castling
-    included) leaves its king on the move's target.
+    made on a copy of `sq` and tested there with `attacked`. A king move
+    (castling included) leaves its king on the move's target.
     """
     white = stm == 0
     for m in moves:
@@ -438,35 +406,34 @@ def _legal_among(arr, stm, moves, king, pinned, evasions):
             if not pinned >> frm & 1:
                 yield m
                 continue
-        undo = _make(arr, stm, frm, to, promo, flags)
-        safe = not _attacked(arr, to if frm == king else king, not white)
-        _unmake(arr, stm, frm, to, promo, flags, undo)
-        if safe:
+        arr = bytearray(sq)
+        _make(arr, stm, frm, to, promo, flags)
+        if not _attacked(arr, to if frm == king else king, not white):
             yield m
 
 
-def _legal(arr, stm, castling, ep):
-    """Legal moves of the position in `arr`, in generation order.
+def _legal(sq, stm, castling, ep):
+    """Legal moves of the position in `sq`, in generation order.
 
     The side's king is found, and its pinned pieces and checkers
     computed, once per position (`_pins_and_evasions`); only king moves,
-    castling, en passant and moves by pinned pieces then need
-    make/attacked/unmake. Without a king every pseudo-move is legal.
+    castling, en passant and moves by pinned pieces then need to be made
+    on a copy and tested. Without a king every pseudo-move is legal.
     """
     white = stm == 0
-    king = _king_square(arr, white)
-    moves = _pseudo_moves(arr, stm, castling, ep)
+    king = _king_square(sq, white)
+    moves = _pseudo_moves(sq, stm, castling, ep)
     if king < 0:
         return moves
-    pinned, evasions = _pins_and_evasions(arr, king, white)
-    return list(_legal_among(arr, stm, moves, king, pinned, evasions))
+    pinned, evasions = _pins_and_evasions(sq, king, white)
+    return list(_legal_among(sq, stm, moves, king, pinned, evasions))
 
 
 def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
     if len(sq) != 64:
         raise _squares_error("legal_moves", sq)
-    out = _legal(bytearray(sq), stm, castling, ep)
+    out = _legal(sq, stm, castling, ep)
     out.sort()
     return out
 
@@ -475,35 +442,33 @@ def has_legal_move(sq, stm, castling, ep):
     """Whether the side to move has a legal move; `bool(legal_moves(...))`.
 
     Stops at the first legal move it finds. King steps come first, each
-    tested with the king lifted off its square. Then the other pieces'
-    pseudo-moves go through the same pin, checker and evasion filter as
-    `_legal`. Castling is not tried: it is generated only when the king's
-    square and the one it crosses are not attacked, and then the plain
-    step onto that crossed square is legal already. Without a king every
+    tested on a copy of the board with the king lifted off. Then the other
+    pieces' pseudo-moves go through the same pin, checker and evasion
+    filter as `_legal`. Castling is not tried: it is generated only when
+    the king's square and the one it crosses are not attacked, and then
+    the plain step onto that crossed square is legal already. Without a king every
     pseudo-move is legal, as in `_legal`.
     """
     if len(sq) != 64:
         raise _squares_error("has_legal_move", sq)
     white = stm == 0
-    kc = WK if white else BK
-    king = sq.find(kc)
+    king = _king_square(sq, white)
     if king < 0:
         return bool(_pseudo_moves(sq, stm, castling, ep))
-    arr = bytearray(sq)
-    arr[king] = EMPTY
+    lifted = bytearray(sq)
+    lifted[king] = EMPTY
     kf = king & 7
     kr = king >> 3
     for df, dr in _KING:
         f, r = kf + df, kr + dr
         if 0 <= f <= 7 and 0 <= r <= 7:
-            p = arr[r * 8 + f]
+            p = sq[r * 8 + f]
             if (p == EMPTY or (p <= 6) != white) \
-                    and not _attacked(arr, r * 8 + f, not white):
+                    and not _attacked(lifted, r * 8 + f, not white):
                 return True
-    arr[king] = kc
-    pinned, evasions = _pins_and_evasions(arr, king, white)
-    others = [m for m in _pseudo_moves(arr, stm, castling, ep) if m[0] != king]
-    for _ in _legal_among(arr, stm, others, king, pinned, evasions):
+    pinned, evasions = _pins_and_evasions(sq, king, white)
+    others = [m for m in _pseudo_moves(sq, stm, castling, ep) if m[0] != king]
+    for _ in _legal_among(sq, stm, others, king, pinned, evasions):
         return True
     return False
 
@@ -585,8 +550,8 @@ def checking_moves(sq, stm, castling, ep, moves):
     kind attacks the king, or leaves a blocker's square for one off the
     line it blocks (both at once is a double check). En passant, castling
     and promotions change more than one square or the moving piece's kind:
-    each is made, tested with `attacked` and unmade. Without an enemy king
-    no move gives check, as `in_check` says.
+    each is made on a copy of `sq` and tested there with `attacked`.
+    Without an enemy king no move gives check, as `in_check` says.
     """
     if len(sq) != 64:
         raise _squares_error("checking_moves", sq)
@@ -597,21 +562,20 @@ def checking_moves(sq, stm, castling, ep, moves):
         if not 0 <= to <= 63:
             raise _square_error("checking_moves", to)
         _check_ep_square("checking_moves", white, to, flags)
-    arr = bytearray(sq)
-    king = _king_square(arr, not white)
+    king = _king_square(sq, not white)
     if king < 0:
         return []
-    direct, opens = _check_squares(arr, king, white)
+    direct, opens = _check_squares(sq, king, white)
     out = []
     for m in moves:
         frm, to, promo, flags = m
         if promo or flags & _FULL_TEST_FLAGS:
-            undo = _make(arr, stm, frm, to, promo, flags)
+            arr = bytearray(sq)
+            _make(arr, stm, frm, to, promo, flags)
             check = _attacked(arr, king, white)
-            _unmake(arr, stm, frm, to, promo, flags, undo)
         else:
             line = opens.get(frm)
-            check = direct[arr[frm]] >> to & 1 or (
+            check = direct[sq[frm]] >> to & 1 or (
                 line is not None and not line >> to & 1)
         if check:
             out.append(m)
@@ -642,12 +606,14 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
         raise _square_error("apply_move", frm)
     if not 0 <= to <= 63:
         raise _square_error("apply_move", to)
-    _check_ep_square("apply_move", stm == 0, to, flags)
+    white = stm == 0
+    _check_ep_square("apply_move", white, to, flags)
+    # the captured square: `to`, or en passant's victim one rank behind it
+    cap_sq = (to - 8 if white else to + 8) if flags & FLAG_EP else to
+    reset = sq[frm] in (WP, BP) or sq[cap_sq] != EMPTY
     arr = bytearray(sq)
-    pawn = arr[frm] in (WP, BP)
-    undo = _make(arr, stm, frm, to, promo, flags)
-    capture = undo[1] != EMPTY
-    new_half = 0 if (pawn or capture) else halfmove + 1
+    _make(arr, stm, frm, to, promo, flags)
+    new_half = 0 if reset else halfmove + 1
     new_ep = (frm + to) // 2 if flags & FLAG_DOUBLE else -1
     new_castling = _update_castling(castling, frm, to)
     new_full = fullmove + 1 if stm == 1 else fullmove
@@ -660,19 +626,18 @@ def perft(sq, stm, castling, ep, depth):
         raise _squares_error("perft", sq)
     if depth <= 0:
         return 1
-    arr = bytearray(sq)
-    return _perft_inner(arr, stm, castling, ep, depth)
+    return _perft_inner(sq, stm, castling, ep, depth)
 
 
-def _perft_inner(arr, stm, castling, ep, depth):
-    moves = _legal(arr, stm, castling, ep)
+def _perft_inner(sq, stm, castling, ep, depth):
+    moves = _legal(sq, stm, castling, ep)
     if depth == 1:
         return len(moves)
     total = 0
     for frm, to, promo, flags in moves:
-        undo = _make(arr, stm, frm, to, promo, flags)
+        arr = bytearray(sq)
+        _make(arr, stm, frm, to, promo, flags)
         new_ep = (frm + to) // 2 if flags & FLAG_DOUBLE else -1
         total += _perft_inner(arr, 1 - stm, _update_castling(castling, frm, to),
                               new_ep, depth - 1)
-        _unmake(arr, stm, frm, to, promo, flags, undo)
     return total

@@ -45,8 +45,6 @@ _PIN_PERMUTATIONS = (
     ("pin-covered-by", "Z", "Y", "X"),
 )
 
-INVERSE_NAMES = tuple(_BINARY_INVERSE.values()) + tuple(p[0] for p in _PIN_PERMUTATIONS)
-
 
 @dataclass(frozen=True)
 class Relation:

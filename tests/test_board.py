@@ -174,15 +174,22 @@ def _piece_rows(b):
     return [(p.id, p.kind, p.color, p.square) for p in b.pieces]
 
 
+EN_PASSANT = "8/8/8/3pP3/4K3/8/8/k7 w - d6 0 2"
+
+
 def test_apply_matches_the_rule_based_reference():
     """Every legal move along seeded playouts from the desk-40 boards,
-    kiwipete and a board of promoting pawns (with an en passant) carries
-    the same piece ids, kinds, colours and squares over as the rule-based
-    reference."""
+    kiwipete, an en-passant board and a board of promoting pawns (with an
+    en passant) carries the same piece ids, kinds, colours and squares
+    over as the rule-based reference, and leads to the successor the
+    independent oracle makes: the same pieces, side to move, castling
+    rights, en-passant square, halfmove clock and fullmove number. Perft
+    reads neither clock, and kernel parity cannot catch a rule both
+    kernels get wrong."""
     fens = [json.loads(line)["fen"] for line in
             (DATA / "puzzles_desk40.jsonl").read_text().splitlines()]
-    fens += [KIWIPETE, PROMOTIONS]
-    flags, promotions = set(), 0
+    fens += [KIWIPETE, PROMOTIONS, EN_PASSANT]
+    flags, promotions, clocks = set(), 0, set()
     for seed, fen in enumerate(fens):
         rng = random.Random(seed)
         b = parse_fen(fen)
@@ -191,16 +198,24 @@ def test_apply_matches_the_rule_based_reference():
             if not moves:
                 break
             raw = _board._mg.legal_moves(b._squares, b._stm, b.castling.mask, b._ep)
+            pos = oracles.from_board(b)
+            by_uci = {oracles.move_uci(m): m for m in oracles.legal_moves(pos)}
+            assert sorted(by_uci) == sorted(m.uci for m in moves), emit_fen(b)
             for m, t in zip(moves, raw):
                 want = oracles.apply_move_reference(b, t)
                 got = b.apply_move(m)
                 assert _piece_rows(got) == _piece_rows(want), (emit_fen(b), m.uci)
                 assert emit_fen(got) == emit_fen(want)
+                successor = oracles.from_board(got)
+                assert successor == oracles.apply(pos, by_uci[m.uci]), (emit_fen(b), m.uci)
                 flags.add(t[3] & (FLAG_CASTLE_K | FLAG_CASTLE_Q | FLAG_EP))
                 promotions += bool(t[2])
+                clocks.add(successor.halfmove > 0)
             b = b.apply_move(rng.choice(moves))
-    # the playouts reach both castlings, en passant and promotions
+    # the playouts reach both castlings, en passant and promotions, and
+    # the halfmove clock is both reset and carried on
     assert flags == {0, FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP} and promotions
+    assert clocks == {False, True}
 
 
 def test_status_back_rank_mate():

@@ -293,11 +293,51 @@ def test_compiled_perft_published_counts(compiled):
     assert compiled.perft(*_state(parse_fen(KIWIPETE)), 2) == 2039
 
 
-def test_compiled_accepts_bytearray(compiled):
-    st = _state(parse_fen(KIWIPETE))
-    mutable = (bytearray(st[0]),) + st[1:]
-    assert compiled.legal_moves(*mutable) == compiled.legal_moves(*st)
-    assert compiled.attacked(mutable[0], 36, False) == compiled.attacked(st[0], 36, False)
+# Boards whose legality and checks need trial moves: castling and pins,
+# en passant, promotions, and a king in check.
+TRIAL_MOVE_BOARDS = {
+    "kiwipete": KIWIPETE,
+    "en passant": "8/8/8/KPp4r/8/8/8/7k w - c6 0 2",
+    "promotion": "1r2k3/PPP5/8/3pP3/8/8/5ppp/K5R1 w - d6 0 2",
+    "check": "4k3/8/8/8/8/8/3N4/r3K2R w K - 0 1",
+}
+
+
+def _calls(entry, board):
+    """The arguments after the squares for each call of `entry` on
+    `board`."""
+    stm, castling, ep = board._stm, board.castling.mask, board._ep
+    white = stm == 0
+    moves = pure.legal_moves(board._squares, stm, castling, ep)
+    if entry in ("attacked", "attackers"):
+        return [(s, by_white) for s in range(64) for by_white in (True, False)]
+    if entry == "attack_targets":
+        return [(s,) for s in range(64)]
+    if entry == "in_check":
+        return [(white,), (not white,)]
+    if entry in ("legal_moves", "has_legal_move"):
+        return [(stm, castling, ep)]
+    if entry == "checking_moves":
+        return [(stm, castling, ep, moves)]
+    if entry == "apply_move":
+        clocks = (stm, castling, ep, board.halfmove_clock, board.fullmove_number)
+        return [clocks + m for m in moves]
+    assert entry == "perft", entry
+    return [(stm, castling, ep, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(TRIAL_MOVE_BOARDS))
+def test_entries_never_write_to_their_squares(kernel, name):
+    """Each entry returns for a bytearray what it returns for bytes, and
+    leaves the bytearray as it was: a trial move is made on a copy."""
+    board = parse_fen(TRIAL_MOVE_BOARDS[name])
+    frozen = board._squares
+    for entry in ENTRY_ARGS:
+        call = getattr(kernel, entry)
+        for rest in _calls(entry, board):
+            mutable = bytearray(frozen)
+            assert call(mutable, *rest) == call(frozen, *rest), (entry, rest)
+            assert mutable == frozen, (entry, rest)
 
 
 # Each entry's arguments around a squares buffer `sq`.

@@ -140,8 +140,11 @@ def test_score_styles_hand_checked():
     assert score_situation(s, tag, PlayerProfile("neutral")) == pytest.approx(1.3)
 
 
+# The scale is a power of two >= 1: multiplying by it is exact for every
+# double drawn here, so it keeps every sum and every tie. Another factor
+# rounds, and two close sums can then swap or tie (subnormals underflow).
 @settings(max_examples=60, deadline=None)
-@given(st.floats(0.01, 100.0),
+@given(st.integers(0, 6).map(lambda k: 2.0 ** k),
        st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 1)), min_size=2, max_size=6))
 def test_score_argmax_scale_invariant(c, tags):
     _, models = _situations(MATE1_FEN)
