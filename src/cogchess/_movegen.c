@@ -11,9 +11,11 @@
  *
  * Inside the kernel a move is one int, frm<<16 | to<<8 | promo<<5 | flags,
  * so that integer order is tuple order. The squares argument is any
- * buffer (`bytes`, `bytearray`) of exactly 64 bytes, and a square index,
- * an en-passant move's captured square included, must lie in 0..63;
- * anything else raises ValueError.
+ * buffer (`bytes`, `bytearray`) of exactly 64 bytes, each EMPTY or a piece
+ * code, and a square index, an en-passant move's captured square included,
+ * must lie in 0..63; anything else raises ValueError. Where the Python
+ * kernel reads per-square tables, this one steps file and rank by the
+ * offsets below and bounds-tests each step.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -47,11 +49,6 @@ typedef uint64_t Mask; /* a set of squares, bit i for square i */
 /* No square yields more than a queen's 27 pseudo-moves (a pawn at most
    12), and castling adds two. */
 #define MAX_MOVES (64 * 27 + 2)
-
-static int _is_white(int p)
-{
-    return 1 <= p && p <= 6;
-}
 
 /* True if `target` is attacked by at least one piece of the given color. */
 static int attacked(const unsigned char *sq, int target, int by_white)
@@ -114,7 +111,7 @@ static Mask attackers(const unsigned char *sq, int target, int by_white)
     int i;
     for (i = 0; i < 64; i++) {
         int p = sq[i];
-        if (p == EMPTY || _is_white(p) != by_white)
+        if (p == EMPTY || (p <= 6) != by_white)
             continue;
         if (attack_targets(sq, i) & BIT(target))
             out |= BIT(i);
@@ -184,7 +181,7 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
 
     for (i = 0; i < 64; i++) {
         int p = sq[i], f = i & 7, r = i >> 3, kind, to, tp, nf, nr;
-        if (p == EMPTY || _is_white(p) != white)
+        if (p == EMPTY || (p <= 6) != white)
             continue;
         kind = p <= 6 ? p : p - 6;
 
@@ -210,7 +207,7 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                     continue;
                 to = nr * 8 + nf;
                 tp = sq[to];
-                if (tp != EMPTY && _is_white(tp) != white) {
+                if (tp != EMPTY && (tp <= 6) != white) {
                     if (nr == promo_r) {
                         for (pk = WN; pk <= WQ; pk++)
                             out[n++] = MOVE(i, to, pk, FLAG_CAPTURE);
@@ -232,7 +229,7 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                 tp = sq[to];
                 if (tp == EMPTY)
                     out[n++] = MOVE(i, to, 0, 0);
-                else if (_is_white(tp) != white)
+                else if ((tp <= 6) != white)
                     out[n++] = MOVE(i, to, 0, FLAG_CAPTURE);
             }
         } else {
@@ -245,7 +242,7 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                     if (tp == EMPTY) {
                         out[n++] = MOVE(i, to, 0, 0);
                     } else {
-                        if (_is_white(tp) != white)
+                        if ((tp <= 6) != white)
                             out[n++] = MOVE(i, to, 0, FLAG_CAPTURE);
                         break;
                     }
@@ -308,9 +305,10 @@ static void _make(unsigned char *arr, int stm, int frm, int to, int promo,
     }
 }
 
+#define CASTLE_FLAGS (FLAG_CASTLE_K | FLAG_CASTLE_Q)
 /* Moves that are always made on a copy and tested with `attacked`: en
    passant empties two squares of one rank, and castling moves the king. */
-#define FULL_TEST_FLAGS (FLAG_EP | FLAG_CASTLE_K | FLAG_CASTLE_Q)
+#define FULL_TEST_FLAGS (FLAG_EP | CASTLE_FLAGS)
 
 /* Pinned pieces and check evasions of the side whose king is on `king`.
  *
@@ -390,23 +388,37 @@ static void _pins_and_evasions(const unsigned char *sq, int king, int white,
  * to `out` (which may be `moves` itself); returns their number. With `out`
  * NULL, returns 1 at the first legal move and 0 if there is none.
  *
- * `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A move
- * by a piece other than the king that misses the evasion squares is
- * illegal; one that is not en passant or castling, by a piece that is not
- * pinned, is legal otherwise. Every other move is made on a copy of `sq`
- * and tested there with `attacked`. A king move (castling included) leaves
- * its king on the move's target.
+ * `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A king
+ * step (any king move but castling) is legal when `attacked` says its
+ * target is safe on one copy of `sq` with the king lifted off, made once
+ * per call. That is the board after the step everywhere but the target,
+ * whose own byte `attacked` never reads, and a slider's ray now runs on
+ * through the king's empty square, so the king cannot step back along a
+ * checking ray. A move by another piece that misses the evasion squares
+ * is illegal; one that is not en passant or castling, by a piece that is
+ * not pinned, is legal otherwise. Every other move is made on a copy of
+ * `sq` and tested there with `attacked`; castling leaves its king on the
+ * move's target.
  */
 static int _legal_among(const unsigned char *sq, int stm, const int *moves,
                         int n, int king, Mask pinned, Mask evasions, int *out)
 {
-    int white = stm == 0, count = 0, i;
+    int white = stm == 0, count = 0, i, have_lifted = 0;
+    unsigned char lifted[64];
     for (i = 0; i < n; i++) {
         int m = moves[i], frm = M_FRM(m), to = M_TO(m), flags = M_FLAGS(m);
-        int full_test = frm == king || (flags & FULL_TEST_FLAGS);
-        if (!full_test && !(evasions & BIT(to)))
+        int full_test = flags & FULL_TEST_FLAGS;
+        if (frm == king && !(flags & CASTLE_FLAGS)) {
+            if (!have_lifted) {
+                memcpy(lifted, sq, 64);
+                lifted[king] = EMPTY;
+                have_lifted = 1;
+            }
+            if (attacked(lifted, to, !white))
+                continue;
+        } else if (!full_test && !(evasions & BIT(to))) {
             continue;
-        if (full_test || (pinned & BIT(frm))) {
+        } else if (full_test || (pinned & BIT(frm))) {
             unsigned char arr[64];
             memcpy(arr, sq, 64);
             _make(arr, stm, frm, to, M_PROMO(m), flags);
@@ -424,9 +436,10 @@ static int _legal_among(const unsigned char *sq, int stm, const int *moves,
  * `out` (room for MAX_MOVES); returns their number.
  *
  * The side's king is found, and its pinned pieces and checkers computed,
- * once per position (`_pins_and_evasions`); only king moves, castling,
- * en passant and moves by pinned pieces then need to be made on a copy
- * and tested. Without a king every pseudo-move is legal.
+ * once per position (`_pins_and_evasions`); king steps are then tested on
+ * one lifted copy, and only castling, en passant and moves by pinned
+ * pieces need to be made on a copy and tested. Without a king every
+ * pseudo-move is legal.
  */
 static int _legal(const unsigned char *sq, int stm, int castling, int ep,
                   int *out)
@@ -556,8 +569,7 @@ static int _gives_check(const unsigned char *sq, int stm, int king,
         _make(arr, stm, frm, to, promo, flags);
         return attacked(arr, king, stm == 0);
     }
-    /* (`p <= BK`: a squares buffer may hold any byte) */
-    return (p <= BK && (direct[p] & BIT(to)))
+    return (direct[p] & BIT(to))
            || (opens[frm] && !(opens[frm] & BIT(to)));
 }
 
@@ -601,7 +613,7 @@ static long long _perft_inner(const unsigned char *sq, int stm, int castling,
 /* -- Python entry points ---------------------------------------------------- */
 
 /* Read the positional arguments of `name` as `spec` lists them, one letter
- * each: 's' a 64-byte squares buffer, copied into `sq`; 'q' a square index
+ * each: 's' a buffer of 64 piece codes, copied into `sq`; 'q' a square index
  * in 0..63, 'i' an int and 'b' a truth value, each into `ints` at its
  * argument's position; 'm' a sequence of moves, which the entry reads
  * itself (`parse_move`). Returns -1 with an exception set on a bad
@@ -611,6 +623,7 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
                  const char *spec, unsigned char *sq, int *ints)
 {
     Py_ssize_t i, want = (Py_ssize_t)strlen(spec);
+    int s;
     if (nargs != want) {
         PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
                      name, want, nargs);
@@ -630,6 +643,14 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
             }
             memcpy(sq, view.buf, 64);
             PyBuffer_Release(&view);
+            for (s = 0; s < 64; s++) {
+                if (sq[s] > BK) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "%s(): squares must hold piece codes 0..12, got %d at %d",
+                                 name, sq[s], s);
+                    return -1;
+                }
+            }
         } else if (spec[i] == 'b') {
             if ((ints[i] = PyObject_IsTrue(args[i])) < 0)
                 return -1;

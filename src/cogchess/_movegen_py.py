@@ -8,6 +8,13 @@ king and 7..12 for black, and must return bit-identical results.
 
 Moves are ``(frm, to, promo, flags)`` int tuples, sorted ascending, with
 promo one of 0/2/3/4/5 (none/knight/bishop/rook/queen, color-neutral).
+
+Where the C kernel steps file and rank by offsets and bounds-tests each
+step, this one reads per-square tables built once at import (Chess
+Programming Wiki, "Mailbox"): each square's knight and king targets, its
+rays nearest square first, and the squares a pawn of each colour attacks
+it from. So finding a square's neighbours takes no file/rank arithmetic
+or bounds test.
 """
 
 EMPTY = 0
@@ -28,12 +35,52 @@ _ORTH = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _DIAG = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _is_white(p):
-    return 1 <= p <= 6
+def _ray(s, df, dr):
+    """The on-board squares from `s` in direction (df, dr), nearest first."""
+    f, r = (s & 7) + df, (s >> 3) + dr
+    out = []
+    while 0 <= f <= 7 and 0 <= r <= 7:
+        out.append(r * 8 + f)
+        f += df
+        r += dr
+    return tuple(out)
+
+
+def _steps(deltas):
+    """Per square, the on-board squares one step of each delta away."""
+    out = []
+    for s in range(64):
+        f, r = s & 7, s >> 3
+        out.append(tuple((r + dr) * 8 + f + df for df, dr in deltas
+                         if 0 <= f + df <= 7 and 0 <= r + dr <= 7))
+    return tuple(out)
+
+
+def _rays(dirs):
+    """Per square, one ray per direction, nearest square first; empty ones dropped."""
+    return tuple(tuple(r for r in (_ray(s, *d) for d in dirs) if r) for s in range(64))
+
+
+_KNIGHT_TO = _steps(_KNIGHT)
+_KING_TO = _steps(_KING)
+_ORTH_RAYS = _rays(_ORTH)
+_DIAG_RAYS = _rays(_DIAG)
+# The squares a white (black) pawn attacks `s` from: one rank below (above)
+# it. So a white pawn on `s` captures onto `_BP_FROM[s]`, a black one onto
+# `_WP_FROM[s]`.
+_WP_FROM = _steps(((-1, -1), (1, -1)))
+_BP_FROM = _steps(((-1, 1), (1, 1)))
+
+# The bytes a squares argument may hold: EMPTY and the twelve piece codes.
+_CODES = bytes(range(BK + 1))
 
 
 def _squares_error(name, sq):
-    return ValueError(f"{name}(): squares must be 64 bytes, got {len(sq)}")
+    """The ValueError for a squares argument that is not 64 piece codes."""
+    if len(sq) != 64:
+        return ValueError(f"{name}(): squares must be 64 bytes, got {len(sq)}")
+    i = next(i for i, v in enumerate(sq) if v > BK)
+    return ValueError(f"{name}(): squares must hold piece codes 0..12, got {sq[i]} at {i}")
 
 
 def _square_error(name, s):
@@ -49,14 +96,15 @@ def _check_ep_square(name, white, to, flags):
 
 
 # The public entries check their arguments as the compiled kernel does:
-# the squares must be 64 bytes and a square index, an en-passant move's
-# captured square included, must lie in 0..63. The internal helpers they
-# call trust their arguments.
+# the squares must be 64 bytes, each EMPTY or a piece code (`translate`
+# deletes those, so anything left is a bad byte), and a square index, an
+# en-passant move's captured square included, must lie in 0..63. The
+# internal helpers they call trust their arguments.
 
 
 def attacked(sq, target, by_white):
     """True if `target` is attacked by at least one piece of the given color."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attacked", sq)
     if not 0 <= target <= 63:
         raise _square_error("attacked", target)
@@ -64,66 +112,41 @@ def attacked(sq, target, by_white):
 
 
 def _attacked(sq, target, by_white):
-    tf = target & 7
-    tr = target >> 3
-
+    """`attacked` without the argument checks. It never reads `sq[target]`."""
     if by_white:
-        # White pawns attack one rank up; look one rank down from the target.
-        if tr >= 1:
-            if tf >= 1 and sq[target - 9] == WP:
-                return True
-            if tf <= 6 and sq[target - 7] == WP:
-                return True
-        kn, kg, rk, bi, qu = WN, WK, WR, WB, WQ
+        pw, kn, kg, rk, bi, qu, pawns = WP, WN, WK, WR, WB, WQ, _WP_FROM
     else:
-        if tr <= 6:
-            if tf >= 1 and sq[target + 7] == BP:
-                return True
-            if tf <= 6 and sq[target + 9] == BP:
-                return True
-        kn, kg, rk, bi, qu = BN, BK, BR, BB, BQ
-
-    for df, dr in _KNIGHT:
-        f, r = tf + df, tr + dr
-        if 0 <= f <= 7 and 0 <= r <= 7 and sq[r * 8 + f] == kn:
+        pw, kn, kg, rk, bi, qu, pawns = BP, BN, BK, BR, BB, BQ, _BP_FROM
+    for s in pawns[target]:
+        if sq[s] == pw:
             return True
-    for df, dr in _KING:
-        f, r = tf + df, tr + dr
-        if 0 <= f <= 7 and 0 <= r <= 7 and sq[r * 8 + f] == kg:
+    for s in _KNIGHT_TO[target]:
+        if sq[s] == kn:
             return True
-    for df, dr in _ORTH:
-        f, r = tf + df, tr + dr
-        while 0 <= f <= 7 and 0 <= r <= 7:
-            p = sq[r * 8 + f]
-            if p != EMPTY:
-                if p == rk or p == qu:
-                    return True
-                break
-            f += df
-            r += dr
-    for df, dr in _DIAG:
-        f, r = tf + df, tr + dr
-        while 0 <= f <= 7 and 0 <= r <= 7:
-            p = sq[r * 8 + f]
-            if p != EMPTY:
-                if p == bi or p == qu:
-                    return True
-                break
-            f += df
-            r += dr
+    for s in _KING_TO[target]:
+        if sq[s] == kg:
+            return True
+    for rays, slider in ((_ORTH_RAYS, rk), (_DIAG_RAYS, bi)):
+        for ray in rays[target]:
+            for s in ray:
+                p = sq[s]
+                if p != EMPTY:
+                    if p == slider or p == qu:
+                        return True
+                    break
     return False
 
 
 def attackers(sq, target, by_white):
     """Sorted squares of all pieces of the given color attacking `target`."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attackers", sq)
     if not 0 <= target <= 63:
         raise _square_error("attackers", target)
     out = []
     for i in range(64):
         p = sq[i]
-        if p == EMPTY or _is_white(p) != bool(by_white):
+        if p == EMPTY or (p <= 6) != bool(by_white):
             continue
         if target in _attack_targets(sq, i):
             out.append(i)
@@ -132,53 +155,40 @@ def attackers(sq, target, by_white):
 
 def attack_targets(sq, frm):
     """Sorted squares attacked by the piece at `frm` (pawn capture squares only)."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attack_targets", sq)
     if not 0 <= frm <= 63:
         raise _square_error("attack_targets", frm)
     return _attack_targets(sq, frm)
 
 
+def _slider_rays(kind, s):
+    """The rays a rook, bishop or queen (`kind` WR, WB or WQ) walks from `s`."""
+    if kind == WR:
+        return _ORTH_RAYS[s]
+    if kind == WB:
+        return _DIAG_RAYS[s]
+    return _ORTH_RAYS[s] + _DIAG_RAYS[s]
+
+
 def _attack_targets(sq, frm):
     p = sq[frm]
     if p == EMPTY:
         return []
-    f = frm & 7
-    r = frm >> 3
-    out = []
     kind = p if p <= 6 else p - 6
-
     if kind == WP:
-        dr = 1 if p == WP else -1
-        for df in (-1, 1):
-            nf, nr = f + df, r + dr
-            if 0 <= nf <= 7 and 0 <= nr <= 7:
-                out.append(nr * 8 + nf)
+        out = list((_BP_FROM if p == WP else _WP_FROM)[frm])
     elif kind == WN:
-        for df, dr in _KNIGHT:
-            nf, nr = f + df, r + dr
-            if 0 <= nf <= 7 and 0 <= nr <= 7:
-                out.append(nr * 8 + nf)
+        out = list(_KNIGHT_TO[frm])
     elif kind == WK:
-        for df, dr in _KING:
-            nf, nr = f + df, r + dr
-            if 0 <= nf <= 7 and 0 <= nr <= 7:
-                out.append(nr * 8 + nf)
+        out = list(_KING_TO[frm])
     else:
-        if kind == WR:
-            dirs = _ORTH
-        elif kind == WB:
-            dirs = _DIAG
-        else:
-            dirs = _ORTH + _DIAG
-        for df, dr in dirs:
-            nf, nr = f + df, r + dr
-            while 0 <= nf <= 7 and 0 <= nr <= 7:
-                out.append(nr * 8 + nf)
-                if sq[nr * 8 + nf] != EMPTY:
+        out = []
+        for ray in _slider_rays(kind, frm):
+            for s in ray:
+                out.append(s)
+                if sq[s] != EMPTY:
                     break
-                nf += df
-                nr += dr
     out.sort()
     return out
 
@@ -189,7 +199,7 @@ def _king_square(sq, white):
 
 
 def in_check(sq, white):
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("in_check", sq)
     k = _king_square(sq, white)
     return k >= 0 and _attacked(sq, k, not white)
@@ -198,19 +208,18 @@ def in_check(sq, white):
 def _pseudo_moves(sq, stm, castling, ep):
     """Pseudo-legal moves for the side to move (0 = white, 1 = black)."""
     white = stm == 0
+    if white:
+        fwd, start_r, promo_r, captures = 8, 1, 7, _BP_FROM
+    else:
+        fwd, start_r, promo_r, captures = -8, 6, 0, _WP_FROM
     moves = []
     for i in range(64):
         p = sq[i]
-        if p == EMPTY or _is_white(p) != white:
+        if p == EMPTY or (p <= 6) != white:
             continue
-        f = i & 7
-        r = i >> 3
         kind = p if p <= 6 else p - 6
 
         if kind == WP:
-            fwd = 8 if white else -8
-            start_r = 1 if white else 6
-            promo_r = 7 if white else 0
             to = i + fwd
             # (a pawn on its last rank has no push)
             if 0 <= to <= 63 and sq[to] == EMPTY:
@@ -219,17 +228,12 @@ def _pseudo_moves(sq, stm, castling, ep):
                         moves.append((i, to, pk, 0))
                 else:
                     moves.append((i, to, 0, 0))
-                    if r == start_r and sq[i + 2 * fwd] == EMPTY:
+                    if (i >> 3) == start_r and sq[i + 2 * fwd] == EMPTY:
                         moves.append((i, i + 2 * fwd, 0, FLAG_DOUBLE))
-            dr = 1 if white else -1
-            for df in (-1, 1):
-                nf, nr = f + df, r + dr
-                if not (0 <= nf <= 7 and 0 <= nr <= 7):
-                    continue
-                to = nr * 8 + nf
+            for to in captures[i]:
                 tp = sq[to]
-                if tp != EMPTY and _is_white(tp) != white:
-                    if nr == promo_r:
+                if tp != EMPTY and (tp <= 6) != white:
+                    if (to >> 3) == promo_r:
                         for pk in (WN, WB, WR, WQ):
                             moves.append((i, to, pk, FLAG_CAPTURE))
                     else:
@@ -237,38 +241,22 @@ def _pseudo_moves(sq, stm, castling, ep):
                 elif to == ep and ep >= 0:
                     moves.append((i, to, 0, FLAG_CAPTURE | FLAG_EP))
         elif kind == WN or kind == WK:
-            deltas = _KNIGHT if kind == WN else _KING
-            for df, dr in deltas:
-                nf, nr = f + df, r + dr
-                if not (0 <= nf <= 7 and 0 <= nr <= 7):
-                    continue
-                to = nr * 8 + nf
+            for to in (_KNIGHT_TO if kind == WN else _KING_TO)[i]:
                 tp = sq[to]
                 if tp == EMPTY:
                     moves.append((i, to, 0, 0))
-                elif _is_white(tp) != white:
+                elif (tp <= 6) != white:
                     moves.append((i, to, 0, FLAG_CAPTURE))
         else:
-            if kind == WR:
-                dirs = _ORTH
-            elif kind == WB:
-                dirs = _DIAG
-            else:
-                dirs = _ORTH + _DIAG
-            for df, dr in dirs:
-                nf, nr = f + df, r + dr
-                while 0 <= nf <= 7 and 0 <= nr <= 7:
-                    to = nr * 8 + nf
+            for ray in _slider_rays(kind, i):
+                for to in ray:
                     tp = sq[to]
                     if tp == EMPTY:
                         moves.append((i, to, 0, 0))
-                    elif _is_white(tp) != white:
+                        continue
+                    if (tp <= 6) != white:
                         moves.append((i, to, 0, FLAG_CAPTURE))
-                        break
-                    else:
-                        break
-                    nf += df
-                    nr += dr
+                    break
 
     # Castling: rights bit, rook home, empty between, king and transit not attacked.
     if white:
@@ -319,9 +307,10 @@ def _make(arr, stm, frm, to, promo, flags):
             arr[59] = BR
 
 
+_CASTLE_FLAGS = FLAG_CASTLE_K | FLAG_CASTLE_Q
 # Moves that are always made on a copy and tested with `attacked`: en
 # passant empties two squares of one rank, and castling moves the king.
-_FULL_TEST_FLAGS = FLAG_EP | FLAG_CASTLE_K | FLAG_CASTLE_Q
+_FULL_TEST_FLAGS = FLAG_EP | _CASTLE_FLAGS
 
 
 def _pins_and_evasions(sq, king, white):
@@ -336,21 +325,17 @@ def _pins_and_evasions(sq, king, white):
     king, and none at all on a double check.
     """
     if white:
-        rk, bi, qu, kn, kg, pw = BR, BB, BQ, BN, BK, BP
+        rk, bi, qu, kn, kg, pw, pawns = BR, BB, BQ, BN, BK, BP, _BP_FROM
     else:
-        rk, bi, qu, kn, kg, pw = WR, WB, WQ, WN, WK, WP
-    kf = king & 7
-    kr = king >> 3
+        rk, bi, qu, kn, kg, pw, pawns = WR, WB, WQ, WN, WK, WP, _WP_FROM
     pinned = 0
     evasions = 0
     checkers = 0
-    for dirs, slider in ((_ORTH, rk), (_DIAG, bi)):
-        for df, dr in dirs:
-            f, r = kf + df, kr + dr
+    for rays, slider in ((_ORTH_RAYS, rk), (_DIAG_RAYS, bi)):
+        for line in rays[king]:
             ray = 0
             blocker = -1
-            while 0 <= f <= 7 and 0 <= r <= 7:
-                s = r * 8 + f
+            for s in line:
                 ray |= 1 << s
                 p = sq[s]
                 if p != EMPTY:
@@ -366,22 +351,13 @@ def _pins_and_evasions(sq, king, white):
                                 checkers += 1
                                 evasions |= ray
                         break
-                f += df
-                r += dr
-    # `attacked` counts an adjacent enemy king, so it is a checker here too
-    for deltas, piece in ((_KNIGHT, kn), (_KING, kg)):
-        for df, dr in deltas:
-            f, r = kf + df, kr + dr
-            if 0 <= f <= 7 and 0 <= r <= 7 and sq[r * 8 + f] == piece:
-                checkers += 1
-                evasions |= 1 << (r * 8 + f)
+    # `attacked` counts an adjacent enemy king, so it is a checker here too;
     # an enemy pawn attacks the king from one rank ahead of it
-    r = kr + 1 if white else kr - 1
-    if 0 <= r <= 7:
-        for f in (kf - 1, kf + 1):
-            if 0 <= f <= 7 and sq[r * 8 + f] == pw:
+    for targets, piece in ((_KNIGHT_TO, kn), (_KING_TO, kg), (pawns, pw)):
+        for s in targets[king]:
+            if sq[s] == piece:
                 checkers += 1
-                evasions |= 1 << (r * 8 + f)
+                evasions |= 1 << s
     if not checkers:
         return pinned, None
     return pinned, evasions if checkers == 1 else 0
@@ -390,17 +366,30 @@ def _pins_and_evasions(sq, king, white):
 def _legal_among(sq, stm, moves, king, pinned, evasions):
     """Yield the legal ones of the pseudo-moves `moves`, in their order.
 
-    `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A move
-    by a piece other than the king that misses the evasion squares while
-    in check is illegal; one that is not en passant or castling, by a
-    piece that is not pinned, is legal otherwise. Every other move is
-    made on a copy of `sq` and tested there with `attacked`. A king move
-    (castling included) leaves its king on the move's target.
+    `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A king
+    step (any king move but castling) is legal when `attacked` says its
+    target is safe on one copy of `sq` with the king lifted off, made once
+    per call. That is the board after the step everywhere but the target,
+    whose own byte `attacked` never reads, and a slider's ray now runs on
+    through the king's empty square, so the king cannot step back along a
+    checking ray. A move by another piece that misses the evasion squares
+    while in check is illegal; one that is not en passant or castling, by
+    a piece that is not pinned, is legal otherwise. Every other move is
+    made on a copy of `sq` and tested there with `attacked`; castling
+    leaves its king on the move's target.
     """
     white = stm == 0
+    lifted = None
     for m in moves:
         frm, to, promo, flags = m
-        if frm != king and not flags & _FULL_TEST_FLAGS:
+        if frm == king and not flags & _CASTLE_FLAGS:
+            if lifted is None:
+                lifted = bytearray(sq)
+                lifted[king] = EMPTY
+            if not _attacked(lifted, to, not white):
+                yield m
+            continue
+        if not flags & _FULL_TEST_FLAGS:
             if evasions is not None and not evasions >> to & 1:
                 continue
             if not pinned >> frm & 1:
@@ -416,9 +405,10 @@ def _legal(sq, stm, castling, ep):
     """Legal moves of the position in `sq`, in generation order.
 
     The side's king is found, and its pinned pieces and checkers
-    computed, once per position (`_pins_and_evasions`); only king moves,
-    castling, en passant and moves by pinned pieces then need to be made
-    on a copy and tested. Without a king every pseudo-move is legal.
+    computed, once per position (`_pins_and_evasions`); king steps are
+    then tested on one lifted copy, and only castling, en passant and
+    moves by pinned pieces need to be made on a copy and tested. Without
+    a king every pseudo-move is legal.
     """
     white = stm == 0
     king = _king_square(sq, white)
@@ -431,7 +421,7 @@ def _legal(sq, stm, castling, ep):
 
 def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("legal_moves", sq)
     out = _legal(sq, stm, castling, ep)
     out.sort()
@@ -449,7 +439,7 @@ def has_legal_move(sq, stm, castling, ep):
     the plain step onto that crossed square is legal already. Without a king every
     pseudo-move is legal, as in `_legal`.
     """
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("has_legal_move", sq)
     white = stm == 0
     king = _king_square(sq, white)
@@ -457,15 +447,10 @@ def has_legal_move(sq, stm, castling, ep):
         return bool(_pseudo_moves(sq, stm, castling, ep))
     lifted = bytearray(sq)
     lifted[king] = EMPTY
-    kf = king & 7
-    kr = king >> 3
-    for df, dr in _KING:
-        f, r = kf + df, kr + dr
-        if 0 <= f <= 7 and 0 <= r <= 7:
-            p = sq[r * 8 + f]
-            if (p == EMPTY or (p <= 6) != white) \
-                    and not _attacked(lifted, r * 8 + f, not white):
-                return True
+    for to in _KING_TO[king]:
+        p = sq[to]
+        if (p == EMPTY or (p <= 6) != white) and not _attacked(lifted, to, not white):
+            return True
     pinned, evasions = _pins_and_evasions(sq, king, white)
     others = [m for m in _pseudo_moves(sq, stm, castling, ep) if m[0] != king]
     for _ in _legal_among(sq, stm, others, king, pinned, evasions):
@@ -488,32 +473,23 @@ def _check_squares(sq, king, white):
     off that set uncovers the check.
     """
     if white:
-        pw, rk, bi, qu, base = WP, WR, WB, WQ, 0
+        pw, rk, bi, qu, base, pawns = WP, WR, WB, WQ, 0, _WP_FROM
     else:
-        pw, rk, bi, qu, base = BP, BR, BB, BQ, 6
-    kf = king & 7
-    kr = king >> 3
+        pw, rk, bi, qu, base, pawns = BP, BR, BB, BQ, 6, _BP_FROM
     # a pawn attacks the king from one rank behind it, seen from its side
     pawn = 0
-    r = kr - 1 if white else kr + 1
-    if 0 <= r <= 7:
-        for f in (kf - 1, kf + 1):
-            if 0 <= f <= 7:
-                pawn |= 1 << (r * 8 + f)
+    for s in pawns[king]:
+        pawn |= 1 << s
     knight = 0
-    for df, dr in _KNIGHT:
-        f, r = kf + df, kr + dr
-        if 0 <= f <= 7 and 0 <= r <= 7:
-            knight |= 1 << (r * 8 + f)
+    for s in _KNIGHT_TO[king]:
+        knight |= 1 << s
     lines = [0, 0]  # the rook's and the bishop's squares
     opens = {}
-    for line, dirs, slider in ((0, _ORTH, rk), (1, _DIAG, bi)):
-        for df, dr in dirs:
-            f, r = kf + df, kr + dr
+    for line, rays, slider in ((0, _ORTH_RAYS, rk), (1, _DIAG_RAYS, bi)):
+        for ray in rays[king]:
             between = 0
             blocker = -1
-            while 0 <= f <= 7 and 0 <= r <= 7:
-                s = r * 8 + f
+            for s in ray:
                 if blocker < 0:
                     lines[line] |= 1 << s
                 p = sq[s]
@@ -526,8 +502,6 @@ def _check_squares(sq, king, white):
                         break
                     blocker = s
                 between |= 1 << s
-                f += df
-                r += dr
     direct = [0] * 13
     direct[base + WP] = pawn
     direct[base + WN] = knight
@@ -553,7 +527,7 @@ def checking_moves(sq, stm, castling, ep, moves):
     each is made on a copy of `sq` and tested there with `attacked`.
     Without an enemy king no move gives check, as `in_check` says.
     """
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("checking_moves", sq)
     white = stm == 0
     for frm, to, promo, flags in moves:
@@ -600,7 +574,7 @@ def _update_castling(castling, frm, to):
 
 def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags):
     """Apply one move; returns the new (squares, stm, castling, ep, halfmove, fullmove)."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("apply_move", sq)
     if not 0 <= frm <= 63:
         raise _square_error("apply_move", frm)
@@ -622,7 +596,7 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
 
 def perft(sq, stm, castling, ep, depth):
     """Leaf count of the legal game tree at exactly `depth`."""
-    if len(sq) != 64:
+    if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("perft", sq)
     if depth <= 0:
         return 1

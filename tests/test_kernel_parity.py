@@ -10,6 +10,7 @@ tests skip only when that build fails.
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -119,6 +120,15 @@ SPECIAL = {
                                          ("b5b6",), ("b5c6",)),
     "black en passant pinned along the rank": (
         "7K/8/8/8/R2Pp2k/8/8/8 b - d3 0 2", ("e4e3",), ("e4d3",)),
+    # a king step is tested with the king lifted off the board
+    "king cannot step back along the checking ray": (
+        "4k3/8/8/8/8/8/8/r3K3 w - - 0 1", ("e1d2", "e1e2", "e1f2"),
+        ("e1d1", "e1f1")),
+    "king takes an unprotected checker": (
+        "4k3/8/8/8/8/8/8/3rK3 w - - 0 1", ("e1d1", "e1e2", "e1f2"),
+        ("e1d2", "e1f1")),
+    "king takes a protected checker": (
+        "4k3/8/8/8/8/8/3r4/3rK3 w - - 0 1", (), ()),
 }
 
 
@@ -161,6 +171,24 @@ def _raw_squares(pieces):
     for i, code in pieces.items():
         arr[i] = code
     return bytes(arr)
+
+
+@pytest.mark.parametrize("code", range(pure.WP, pure.BK + 1))
+def test_lone_piece_attacks_on_every_square(compiled, code):
+    """The pure kernel's per-square tables at the board's edges: one piece
+    alone on each square, its targets and every square it attacks."""
+    white = code <= pure.WK
+    for s in range(64):
+        sq = _raw_squares({s: code})
+        targets = pure.attack_targets(sq, s)
+        assert compiled.attack_targets(sq, s) == targets, s
+        for t in range(64):
+            for by_white in (True, False):
+                want = by_white == white and t in targets
+                assert pure.attacked(sq, t, by_white) is want, (s, t)
+                assert compiled.attacked(sq, t, by_white) is want, (s, t)
+                assert pure.attackers(sq, t, by_white) == ([s] if want else [])
+                assert compiled.attackers(sq, t, by_white) == ([s] if want else [])
 
 
 # A pawn on its own last rank, which `parse_fen` rejects but the kernels'
@@ -401,6 +429,51 @@ def test_compiled_rejects_square_off_board(compiled, target):
 @OFF_BOARD
 def test_pure_rejects_square_off_board(target):
     _rejects_square_off_board(pure, target)
+
+
+def _outcome(call, args):
+    """What `call(*args)` returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_squares(rng, n):
+    """`n` random 64-byte buffers: by turns any bytes at all, piece codes
+    only, and piece codes with one byte above 12."""
+    for i in range(n):
+        if i % 3 == 0:
+            yield bytes(rng.randrange(256) for _ in range(64))
+            continue
+        sq = bytearray(rng.choice((pure.EMPTY,) * 12 + tuple(range(1, 13)))
+                       for _ in range(64))
+        if i % 3 == 2:
+            sq[rng.randrange(64)] = rng.randrange(13, 256)
+        yield bytes(sq)
+
+
+def test_entries_agree_on_random_squares(compiled):
+    """Every entry gives the same result on both kernels, or raises the same
+    exception with the same text, whatever bytes its squares hold."""
+    rng = random.Random(71)
+    for sq in _random_squares(rng, 600):
+        for name, args in ENTRY_ARGS.items():
+            want = _outcome(getattr(pure, name), args(sq))
+            assert _outcome(getattr(compiled, name), args(sq)) == want, (name, sq)
+
+
+@ENTRY_NAMES
+def test_rejects_squares_with_a_byte_above_12(kernel, name):
+    """A squares byte is EMPTY or a piece code; the first one above 12 is
+    named."""
+    sq = bytearray(_board.start_board()._squares)
+    sq[12] = 20
+    sq[40] = 13
+    sq[63] = 255
+    message = re.escape(f"{name}(): squares must hold piece codes 0..12, got 20 at 12")
+    with pytest.raises(ValueError, match=message):
+        getattr(kernel, name)(*ENTRY_ARGS[name](bytes(sq)))
 
 
 @pytest.mark.parametrize("stm, to, captured", [(0, 3, -5), (1, 60, 68)])
