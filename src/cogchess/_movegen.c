@@ -7,15 +7,15 @@
  * 1..6 for white pawn/knight/bishop/rook/queen/king and 7..12 for black,
  * moves as sorted `(frm, to, promo, flags)` int tuples. The two kernels
  * must return bit-identical results; `tests/test_kernel_parity.py`
- * enforces it.
+ * enforces it. Both find a square's neighbours in the same per-square
+ * tables, built here once when the module is executed (`build_tables`).
  *
  * Inside the kernel a move is one int, frm<<16 | to<<8 | promo<<5 | flags,
  * so that integer order is tuple order. The squares argument is any
  * buffer (`bytes`, `bytearray`) of exactly 64 bytes, each EMPTY or a piece
  * code, and a square index, an en-passant move's captured square included,
- * must lie in 0..63; anything else raises ValueError. Where the Python
- * kernel reads per-square tables, this one steps file and rank by the
- * offsets below and bounds-tests each step.
+ * must lie in 0..63, and a move's promo must be 0 or a piece kind 2..5;
+ * anything else raises ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -40,7 +40,6 @@ typedef uint64_t Mask; /* a set of squares, bit i for square i */
 #define ALL_SQUARES (~(Mask)0)
 #define BIT(s) ((Mask)1 << (s))
 
-#define ON_BOARD(f, r) ((unsigned)(f) <= 7 && (unsigned)(r) <= 7)
 #define MOVE(frm, to, promo, flags) ((frm) << 16 | (to) << 8 | (promo) << 5 | (flags))
 #define M_FRM(m) ((m) >> 16)
 #define M_TO(m) ((m) >> 8 & 255)
@@ -50,50 +49,84 @@ typedef uint64_t Mask; /* a set of squares, bit i for square i */
    12), and castling adds two. */
 #define MAX_MOVES (64 * 27 + 2)
 
+/* A square's on-board targets of one kind, or one of its rays, nearest
+   square first. */
+typedef struct { int n; unsigned char sq[8]; } Squares;
+
+/* The pure kernel's per-square tables, built once by `build_tables`: each
+   square's knight and king targets in offset order, the squares a white
+   (black) pawn attacks it from, so that a white pawn on `s` captures onto
+   `BP_FROM[s]`, and its eight rays in `RAYS` order; a ray off the board
+   has no squares. */
+static Squares KNIGHT_TO[64], KING_TO[64], WP_FROM[64], BP_FROM[64];
+static Squares RAYS_FROM[64][8];
+
+/* Append to `out` the on-board squares from `s` by steps of (df, dr): the
+   first only, or with `slide` all of them up to the board's edge. */
+static void add_steps(Squares *out, int s, int df, int dr, int slide)
+{
+    int f = (s & 7) + df, r = (s >> 3) + dr;
+    for (; (unsigned)f <= 7 && (unsigned)r <= 7; f += df, r += dr) {
+        out->sq[out->n++] = (unsigned char)(r * 8 + f);
+        if (!slide)
+            break;
+    }
+}
+
+static void build_tables(void)
+{
+    static int built; /* the tables are shared by every module object */
+    int s, d;
+    if (built++)
+        return;
+    for (s = 0; s < 64; s++) {
+        for (d = 0; d < 8; d++) {
+            add_steps(&KNIGHT_TO[s], s, KNIGHT[d][0], KNIGHT[d][1], 0);
+            add_steps(&KING_TO[s], s, KING[d][0], KING[d][1], 0);
+            add_steps(&RAYS_FROM[s][d], s, RAYS[d][0], RAYS[d][1], 1);
+        }
+        for (d = -1; d <= 1; d += 2) {
+            add_steps(&WP_FROM[s], s, d, -1, 0);
+            add_steps(&BP_FROM[s], s, d, 1, 0);
+        }
+    }
+}
+
+/* The squares of `t`. */
+static Mask mask_of(const Squares *t)
+{
+    Mask out = 0;
+    int i;
+    for (i = 0; i < t->n; i++)
+        out |= BIT(t->sq[i]);
+    return out;
+}
+
+/* Whether a square of `t` holds `piece`. */
+static int holds(const unsigned char *sq, const Squares *t, int piece)
+{
+    int i;
+    for (i = 0; i < t->n; i++)
+        if (sq[t->sq[i]] == piece)
+            return 1;
+    return 0;
+}
+
 /* True if `target` is attacked by at least one piece of the given color. */
 static int attacked(const unsigned char *sq, int target, int by_white)
 {
-    int tf = target & 7, tr = target >> 3;
-    int kn, kg, rk, bi, qu, d, f, r, p;
+    /* the side's piece codes are base + WP .. base + WK */
+    int base = by_white ? 0 : 6, d, i, p;
 
-    if (by_white) {
-        /* White pawns attack one rank up; look one rank down from the target. */
-        if (tr >= 1) {
-            if (tf >= 1 && sq[target - 9] == WP)
-                return 1;
-            if (tf <= 6 && sq[target - 7] == WP)
-                return 1;
-        }
-        kn = WN; kg = WK; rk = WR; bi = WB; qu = WQ;
-    } else {
-        if (tr <= 6) {
-            if (tf >= 1 && sq[target + 7] == BP)
-                return 1;
-            if (tf <= 6 && sq[target + 9] == BP)
-                return 1;
-        }
-        kn = BN; kg = BK; rk = BR; bi = BB; qu = BQ;
-    }
-
+    if (holds(sq, by_white ? &WP_FROM[target] : &BP_FROM[target], base + WP)
+            || holds(sq, &KNIGHT_TO[target], base + WN)
+            || holds(sq, &KING_TO[target], base + WK))
+        return 1;
     for (d = 0; d < 8; d++) {
-        f = tf + KNIGHT[d][0];
-        r = tr + KNIGHT[d][1];
-        if (ON_BOARD(f, r) && sq[r * 8 + f] == kn)
-            return 1;
-    }
-    for (d = 0; d < 8; d++) {
-        f = tf + KING[d][0];
-        r = tr + KING[d][1];
-        if (ON_BOARD(f, r) && sq[r * 8 + f] == kg)
-            return 1;
-    }
-    for (d = 0; d < 8; d++) {
-        int slider = d < 4 ? rk : bi;
-        for (f = tf + RAYS[d][0], r = tr + RAYS[d][1]; ON_BOARD(f, r);
-             f += RAYS[d][0], r += RAYS[d][1]) {
-            p = sq[r * 8 + f];
-            if (p != EMPTY) {
-                if (p == slider || p == qu)
+        const Squares *ray = &RAYS_FROM[target][d];
+        for (i = 0; i < ray->n; i++) {
+            if ((p = sq[ray->sq[i]]) != EMPTY) {
+                if (p == base + (d < 4 ? WR : WB) || p == base + WQ)
                     return 1;
                 break;
             }
@@ -122,38 +155,21 @@ static Mask attackers(const unsigned char *sq, int target, int by_white)
 /* Squares attacked by the piece at `frm` (pawn capture squares only). */
 static Mask attack_targets(const unsigned char *sq, int frm)
 {
-    int p = sq[frm], f = frm & 7, r = frm >> 3;
-    int kind = p <= 6 ? p : p - 6;
-    int d, df, nf, nr;
+    int p = sq[frm], kind = p <= 6 ? p : p - 6, d, i;
     Mask out = 0;
 
     if (p == EMPTY)
         return 0;
-    if (kind == WP) {
-        int dr = p == WP ? 1 : -1;
-        for (df = -1; df <= 1; df += 2) {
-            nf = f + df;
-            nr = r + dr;
-            if (ON_BOARD(nf, nr))
-                out |= BIT(nr * 8 + nf);
-        }
-    } else if (kind == WN || kind == WK) {
-        const int (*deltas)[2] = kind == WN ? KNIGHT : KING;
-        for (d = 0; d < 8; d++) {
-            nf = f + deltas[d][0];
-            nr = r + deltas[d][1];
-            if (ON_BOARD(nf, nr))
-                out |= BIT(nr * 8 + nf);
-        }
-    } else {
-        int first = kind == WB ? 4 : 0, last = kind == WR ? 4 : 8;
-        for (d = first; d < last; d++) {
-            for (nf = f + RAYS[d][0], nr = r + RAYS[d][1]; ON_BOARD(nf, nr);
-                 nf += RAYS[d][0], nr += RAYS[d][1]) {
-                out |= BIT(nr * 8 + nf);
-                if (sq[nr * 8 + nf] != EMPTY)
-                    break;
-            }
+    if (kind == WP)
+        return mask_of(p == WP ? &BP_FROM[frm] : &WP_FROM[frm]);
+    if (kind == WN || kind == WK)
+        return mask_of(kind == WN ? &KNIGHT_TO[frm] : &KING_TO[frm]);
+    for (d = kind == WB ? 4 : 0; d < (kind == WR ? 4 : 8); d++) {
+        const Squares *ray = &RAYS_FROM[frm][d];
+        for (i = 0; i < ray->n; i++) {
+            out |= BIT(ray->sq[i]);
+            if (sq[ray->sq[i]] != EMPTY)
+                break;
         }
     }
     return out;
@@ -177,17 +193,17 @@ static int in_check(const unsigned char *sq, int white)
 static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                          int ep, int *out)
 {
-    int white = stm == 0, n = 0, i, d, df, pk;
+    int white = stm == 0, n = 0, i, j, d, pk;
+    int fwd = white ? 8 : -8, start_r = white ? 1 : 6, promo_r = white ? 7 : 0;
 
     for (i = 0; i < 64; i++) {
-        int p = sq[i], f = i & 7, r = i >> 3, kind, to, tp, nf, nr;
+        int p = sq[i], kind, to, tp;
+        const Squares *t;
         if (p == EMPTY || (p <= 6) != white)
             continue;
         kind = p <= 6 ? p : p - 6;
 
         if (kind == WP) {
-            int fwd = white ? 8 : -8, start_r = white ? 1 : 6;
-            int promo_r = white ? 7 : 0, dr = white ? 1 : -1;
             to = i + fwd;
             /* (a pawn on its last rank has no push) */
             if ((unsigned)to < 64 && sq[to] == EMPTY) {
@@ -196,19 +212,16 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                         out[n++] = MOVE(i, to, pk, 0);
                 } else {
                     out[n++] = MOVE(i, to, 0, 0);
-                    if (r == start_r && sq[i + 2 * fwd] == EMPTY)
+                    if ((i >> 3) == start_r && sq[i + 2 * fwd] == EMPTY)
                         out[n++] = MOVE(i, i + 2 * fwd, 0, FLAG_DOUBLE);
                 }
             }
-            for (df = -1; df <= 1; df += 2) {
-                nf = f + df;
-                nr = r + dr;
-                if (!ON_BOARD(nf, nr))
-                    continue;
-                to = nr * 8 + nf;
+            t = white ? &BP_FROM[i] : &WP_FROM[i];
+            for (j = 0; j < t->n; j++) {
+                to = t->sq[j];
                 tp = sq[to];
                 if (tp != EMPTY && (tp <= 6) != white) {
-                    if (nr == promo_r) {
+                    if ((to >> 3) == promo_r) {
                         for (pk = WN; pk <= WQ; pk++)
                             out[n++] = MOVE(i, to, pk, FLAG_CAPTURE);
                     } else {
@@ -219,13 +232,9 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                 }
             }
         } else if (kind == WN || kind == WK) {
-            const int (*deltas)[2] = kind == WN ? KNIGHT : KING;
-            for (d = 0; d < 8; d++) {
-                nf = f + deltas[d][0];
-                nr = r + deltas[d][1];
-                if (!ON_BOARD(nf, nr))
-                    continue;
-                to = nr * 8 + nf;
+            t = kind == WN ? &KNIGHT_TO[i] : &KING_TO[i];
+            for (j = 0; j < t->n; j++) {
+                to = t->sq[j];
                 tp = sq[to];
                 if (tp == EMPTY)
                     out[n++] = MOVE(i, to, 0, 0);
@@ -233,11 +242,10 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
                     out[n++] = MOVE(i, to, 0, FLAG_CAPTURE);
             }
         } else {
-            int first = kind == WB ? 4 : 0, last = kind == WR ? 4 : 8;
-            for (d = first; d < last; d++) {
-                for (nf = f + RAYS[d][0], nr = r + RAYS[d][1]; ON_BOARD(nf, nr);
-                     nf += RAYS[d][0], nr += RAYS[d][1]) {
-                    to = nr * 8 + nf;
+            for (d = kind == WB ? 4 : 0; d < (kind == WR ? 4 : 8); d++) {
+                t = &RAYS_FROM[i][d];
+                for (j = 0; j < t->n; j++) {
+                    to = t->sq[j];
                     tp = sq[to];
                     if (tp == EMPTY) {
                         out[n++] = MOVE(i, to, 0, 0);
@@ -322,18 +330,22 @@ static void _make(unsigned char *arr, int stm, int frm, int to, int promo,
 static void _pins_and_evasions(const unsigned char *sq, int king, int white,
                                Mask *pinned, Mask *evasions)
 {
-    int rk = white ? BR : WR, bi = white ? BB : WB, qu = white ? BQ : WQ;
-    int kn = white ? BN : WN, kg = white ? BK : WK, pw = white ? BP : WP;
-    int kf = king & 7, kr = king >> 3, checkers = 0, d, f, r, p;
+    /* the enemy's piece codes are enemy + WP .. enemy + WK; `attacked`
+       counts an adjacent enemy king, so it is a checker here too, and an
+       enemy pawn attacks the king from one rank ahead of it */
+    int enemy = white ? 6 : 0, checkers = 0, d, i, p;
+    const Squares *near[3] = {&KNIGHT_TO[king], &KING_TO[king],
+                              white ? &BP_FROM[king] : &WP_FROM[king]};
+    const int piece[3] = {enemy + WN, enemy + WK, enemy + WP};
 
     *pinned = 0;
     *evasions = 0;
     for (d = 0; d < 8; d++) {
-        int slider = d < 4 ? rk : bi, blocker = -1;
+        const Squares *line = &RAYS_FROM[king][d];
+        int slider = enemy + (d < 4 ? WR : WB), blocker = -1;
         Mask ray = 0;
-        for (f = kf + RAYS[d][0], r = kr + RAYS[d][1]; ON_BOARD(f, r);
-             f += RAYS[d][0], r += RAYS[d][1]) {
-            int s = r * 8 + f;
+        for (i = 0; i < line->n; i++) {
+            int s = line->sq[i];
             ray |= BIT(s);
             p = sq[s];
             if (p == EMPTY)
@@ -344,7 +356,7 @@ static void _pins_and_evasions(const unsigned char *sq, int king, int white,
                 blocker = s;
                 continue;
             }
-            if (p == slider || p == qu) {
+            if (p == slider || p == enemy + WQ) {
                 if (blocker >= 0) {
                     *pinned |= BIT(blocker);
                 } else {
@@ -355,27 +367,12 @@ static void _pins_and_evasions(const unsigned char *sq, int king, int white,
             break;
         }
     }
-    /* `attacked` counts an adjacent enemy king, so it is a checker here too */
-    for (d = 0; d < 8; d++) {
-        f = kf + KNIGHT[d][0];
-        r = kr + KNIGHT[d][1];
-        if (ON_BOARD(f, r) && sq[r * 8 + f] == kn) {
-            checkers++;
-            *evasions |= BIT(r * 8 + f);
-        }
-        f = kf + KING[d][0];
-        r = kr + KING[d][1];
-        if (ON_BOARD(f, r) && sq[r * 8 + f] == kg) {
-            checkers++;
-            *evasions |= BIT(r * 8 + f);
-        }
-    }
-    /* an enemy pawn attacks the king from one rank ahead of it */
-    r = white ? kr + 1 : kr - 1;
-    for (f = kf - 1; f <= kf + 1; f += 2) {
-        if (ON_BOARD(f, r) && sq[r * 8 + f] == pw) {
-            checkers++;
-            *evasions |= BIT(r * 8 + f);
+    for (d = 0; d < 3; d++) {
+        for (i = 0; i < near[d]->n; i++) {
+            if (sq[near[d]->sq[i]] == piece[d]) {
+                checkers++;
+                *evasions |= BIT(near[d]->sq[i]);
+            }
         }
     }
     if (!checkers)
@@ -467,7 +464,7 @@ static int has_legal_move(const unsigned char *sq, int stm, int castling,
                           int ep)
 {
     int white = stm == 0, king = _king_square(sq, white);
-    int moves[MAX_MOVES], n, others, i, d;
+    int moves[MAX_MOVES], n, others, i;
     unsigned char lifted[64];
     Mask pinned, evasions;
 
@@ -475,12 +472,9 @@ static int has_legal_move(const unsigned char *sq, int stm, int castling,
         return _pseudo_moves(sq, stm, castling, ep, moves) > 0;
     memcpy(lifted, sq, 64);
     lifted[king] = EMPTY;
-    for (d = 0; d < 8; d++) {
-        int f = (king & 7) + KING[d][0], r = (king >> 3) + KING[d][1], p;
-        if (!ON_BOARD(f, r))
-            continue;
-        p = sq[r * 8 + f];
-        if ((p == EMPTY || (p <= 6) != white) && !attacked(lifted, r * 8 + f, !white))
+    for (i = 0; i < KING_TO[king].n; i++) {
+        int to = KING_TO[king].sq[i], p = sq[to];
+        if ((p == EMPTY || (p <= 6) != white) && !attacked(lifted, to, !white))
             return 1;
     }
     _pins_and_evasions(sq, king, white, &pinned, &evasions);
@@ -508,35 +502,26 @@ static int has_legal_move(const unsigned char *sq, int stm, int castling,
 static void _check_squares(const unsigned char *sq, int king, int white,
                            Mask direct[BK + 1], Mask opens[64])
 {
-    int pw = white ? WP : BP, kn = white ? WN : BN, bi = white ? WB : BB;
-    int rk = white ? WR : BR, qu = white ? WQ : BQ;
-    int kf = king & 7, kr = king >> 3, d, f, r;
+    /* the side's piece codes are base + WP .. base + WK */
+    int base = white ? 0 : 6, d, i;
     Mask lines[2] = {0, 0}; /* the rook's and the bishop's squares */
 
     memset(direct, 0, (BK + 1) * sizeof(Mask));
     memset(opens, 0, 64 * sizeof(Mask));
     /* a pawn attacks the king from one rank behind it, seen from its side */
-    r = white ? kr - 1 : kr + 1;
-    for (f = kf - 1; f <= kf + 1; f += 2)
-        if (ON_BOARD(f, r))
-            direct[pw] |= BIT(r * 8 + f);
+    direct[base + WP] = mask_of(white ? &WP_FROM[king] : &BP_FROM[king]);
+    direct[base + WN] = mask_of(&KNIGHT_TO[king]);
     for (d = 0; d < 8; d++) {
-        f = kf + KNIGHT[d][0];
-        r = kr + KNIGHT[d][1];
-        if (ON_BOARD(f, r))
-            direct[kn] |= BIT(r * 8 + f);
-    }
-    for (d = 0; d < 8; d++) {
-        int slider = d < 4 ? rk : bi, blocker = -1;
+        const Squares *ray = &RAYS_FROM[king][d];
+        int slider = base + (d < 4 ? WR : WB), blocker = -1;
         Mask between = 0;
-        for (f = kf + RAYS[d][0], r = kr + RAYS[d][1]; ON_BOARD(f, r);
-             f += RAYS[d][0], r += RAYS[d][1]) {
-            int s = r * 8 + f, p = sq[s];
+        for (i = 0; i < ray->n; i++) {
+            int s = ray->sq[i], p = sq[s];
             if (blocker < 0)
                 lines[d >= 4] |= BIT(s);
             if (p != EMPTY) {
                 if (blocker >= 0) {
-                    if (p == slider || p == qu)
+                    if (p == slider || p == base + WQ)
                         opens[blocker] = between;
                     break;
                 }
@@ -547,9 +532,9 @@ static void _check_squares(const unsigned char *sq, int king, int white,
             between |= BIT(s);
         }
     }
-    direct[bi] = lines[1];
-    direct[rk] = lines[0];
-    direct[qu] = lines[0] | lines[1];
+    direct[base + WB] = lines[1];
+    direct[base + WR] = lines[0];
+    direct[base + WQ] = lines[0] | lines[1];
 }
 
 /* Whether the legal move frm, to, promo, flags gives check to the enemy
@@ -614,10 +599,10 @@ static long long _perft_inner(const unsigned char *sq, int stm, int castling,
 
 /* Read the positional arguments of `name` as `spec` lists them, one letter
  * each: 's' a buffer of 64 piece codes, copied into `sq`; 'q' a square index
- * in 0..63, 'i' an int and 'b' a truth value, each into `ints` at its
- * argument's position; 'm' a sequence of moves, which the entry reads
- * itself (`parse_move`). Returns -1 with an exception set on a bad
- * argument.
+ * in 0..63, 'p' a promo (0, or a piece kind WN..WQ), 'i' an int and 'b' a
+ * truth value, each into `ints` at its argument's position; 'm' a sequence
+ * of moves, which the entry reads itself (`parse_move`). Returns -1 with an
+ * exception set on a bad argument.
  */
 static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
                  const char *spec, unsigned char *sq, int *ints)
@@ -659,14 +644,20 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
             long v = PyLong_AsLongAndOverflow(args[i], &overflow);
             if (v == -1 && PyErr_Occurred())
                 return -1;
+            /* a square or promo out of range is a ValueError however large */
+            if (spec[i] == 'q' && (overflow || v < 0 || v > 63)) {
+                PyErr_Format(PyExc_ValueError, "%s(): square %S not in 0..63",
+                             name, args[i]);
+                return -1;
+            }
+            if (spec[i] == 'p' && (overflow || (v != 0 && (v < WN || v > WQ)))) {
+                PyErr_Format(PyExc_ValueError, "%s(): promo must be 0 or 2..5, got %S",
+                             name, args[i]);
+                return -1;
+            }
             if (overflow || v < INT_MIN || v > INT_MAX) {
                 PyErr_Format(PyExc_OverflowError, "%s(): argument %zd out of range",
                              name, i + 1);
-                return -1;
-            }
-            if (spec[i] == 'q' && (v < 0 || v > 63)) {
-                PyErr_Format(PyExc_ValueError, "%s(): square %ld not in 0..63",
-                             name, v);
                 return -1;
             }
             ints[i] = (int)v;
@@ -688,7 +679,7 @@ static int check_ep_square(const char *name, int stm, int to, int flags)
 }
 
 /* Read one move of `name`'s moves argument, a (frm, to, promo, flags)
-   tuple, into `m`, as `parse` reads the arguments "qqii". Returns -1 with
+   tuple, into `m`, as `parse` reads the arguments "qqpi". Returns -1 with
    an exception set on a bad move. */
 static int parse_move(PyObject *item, const char *name, int stm, int *m)
 {
@@ -697,7 +688,7 @@ static int parse_move(PyObject *item, const char *name, int stm, int *m)
                      "%s(): a move must be a (frm, to, promo, flags) tuple", name);
         return -1;
     }
-    if (parse(PySequence_Fast_ITEMS(item), 4, name, "qqii", NULL, m) < 0)
+    if (parse(PySequence_Fast_ITEMS(item), 4, name, "qqpi", NULL, m) < 0)
         return -1;
     return check_ep_square(name, stm, m[1], m[3]);
 }
@@ -829,7 +820,7 @@ ENTRY(apply_move)
 {
     unsigned char arr[64];
     int a[10], stm, frm, to, flags, cap_sq, reset;
-    if (parse(args, nargs, "apply_move", "siiiiiqqii", arr, a) < 0
+    if (parse(args, nargs, "apply_move", "siiiiiqqpi", arr, a) < 0
             || check_ep_square("apply_move", a[1], a[7], a[9]) < 0)
         return NULL;
     stm = a[1];
@@ -888,6 +879,7 @@ static const struct { const char *name; int value; } constants[] = {
 static int exec_module(PyObject *module)
 {
     size_t i;
+    build_tables();
     for (i = 0; i < sizeof constants / sizeof constants[0]; i++)
         if (PyModule_AddIntConstant(module, constants[i].name, constants[i].value) < 0)
             return -1;

@@ -9,12 +9,11 @@ king and 7..12 for black, and must return bit-identical results.
 Moves are ``(frm, to, promo, flags)`` int tuples, sorted ascending, with
 promo one of 0/2/3/4/5 (none/knight/bishop/rook/queen, color-neutral).
 
-Where the C kernel steps file and rank by offsets and bounds-tests each
-step, this one reads per-square tables built once at import (Chess
-Programming Wiki, "Mailbox"): each square's knight and king targets, its
-rays nearest square first, and the squares a pawn of each colour attacks
-it from. So finding a square's neighbours takes no file/rank arithmetic
-or bounds test.
+Both kernels find a square's neighbours in per-square tables built once
+from the offsets below (Chess Programming Wiki, "Mailbox"): each square's
+knight and king targets, its rays nearest square first, and the squares a
+pawn of each colour attacks it from. So finding a square's neighbours
+takes no file/rank arithmetic or bounds test.
 """
 
 EMPTY = 0
@@ -87,6 +86,12 @@ def _square_error(name, s):
     return ValueError(f"{name}(): square {s} not in 0..63")
 
 
+def _check_promo(name, promo):
+    """ValueError unless `promo` is 0 or a piece kind a pawn promotes to."""
+    if promo != 0 and not WN <= promo <= WQ:
+        raise ValueError(f"{name}(): promo must be 0 or 2..5, got {promo}")
+
+
 def _check_ep_square(name, white, to, flags):
     """ValueError unless an en-passant move's captured pawn is on the board."""
     if flags & FLAG_EP:
@@ -97,9 +102,10 @@ def _check_ep_square(name, white, to, flags):
 
 # The public entries check their arguments as the compiled kernel does:
 # the squares must be 64 bytes, each EMPTY or a piece code (`translate`
-# deletes those, so anything left is a bad byte), and a square index, an
-# en-passant move's captured square included, must lie in 0..63. The
-# internal helpers they call trust their arguments.
+# deletes those, so anything left is a bad byte), a square index, an
+# en-passant move's captured square included, must lie in 0..63, and a
+# move's promo must be 0 or a piece kind 2..5. The internal helpers they
+# call trust their arguments.
 
 
 def attacked(sq, target, by_white):
@@ -535,6 +541,7 @@ def checking_moves(sq, stm, castling, ep, moves):
             raise _square_error("checking_moves", frm)
         if not 0 <= to <= 63:
             raise _square_error("checking_moves", to)
+        _check_promo("checking_moves", promo)
         _check_ep_square("checking_moves", white, to, flags)
     king = _king_square(sq, not white)
     if king < 0:
@@ -580,6 +587,7 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
         raise _square_error("apply_move", frm)
     if not 0 <= to <= 63:
         raise _square_error("apply_move", to)
+    _check_promo("apply_move", promo)
     white = stm == 0
     _check_ep_square("apply_move", white, to, flags)
     # the captured square: `to`, or en passant's victim one rank behind it

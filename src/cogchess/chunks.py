@@ -30,14 +30,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .board import Board, Color, PieceKind, Square
+from .relations import _SLIDERS
 # The benchmark's layer spans look this up on this module by name.
 from .relations import extract_relations  # noqa: F401
 
 CATALOG_VERSION = 1
 
 BUILTIN_NAMES = ("battery", "trapped-king", "wall-of-pawns")
-
-_SLIDERS = (PieceKind.BISHOP, PieceKind.ROOK, PieceKind.QUEEN)
 
 
 class CatalogError(ValueError):

@@ -277,8 +277,7 @@ def enumerate_situations(board: Board, relations, pool, cover,
         for _, _, combo, members in keys[:MAX_CANDIDATES]]
 
 
-def score_situation(situation: SituationModel, tag: EmotionTag,
-                    profile: PlayerProfile) -> float:
+def score_situation(tag: EmotionTag, profile: PlayerProfile) -> float:
     """Selection priority: arousal plus a style-dependent view of valence.
 
     Defensive players prioritize unfavorable situations, aggressive
@@ -585,7 +584,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     for s in candidates:
         sig = situation_signature(s)
         tag = ltm.lookup(sig)
-        scored.append((score_situation(s, tag, profile), tag, sig, s))
+        scored.append((score_situation(tag, profile), tag, sig, s))
     # stable: full ties keep the enumeration pre-rank (cold-start fallback)
     scored.sort(key=lambda t: (-t[0], -t[1].dominance))
     clock += _COST_EXPLORE_MS

@@ -9,7 +9,10 @@ Three base relations are extracted from a board:
 * ``pins`` (offensive, arity 3): a sliding subject, an enemy piece that is
   the unique blocker on one of the subject's sliding lines, and a piece of
   the blocker's color behind it. The rear piece may be any piece, not only
-  the king (relative pins count).
+  the king (relative pins count). The lines are the subject's rays in the
+  pure move-generation kernel's per-square tables, read whichever kernel
+  is selected; a ray holds a pin when its first piece is an enemy and its
+  second has that enemy's color.
 
 Every base relation has inverse-role forms: one for arity 2, six for
 arity 3 (one per permutation of subject/object1/object2; the
@@ -22,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .board import Board, PieceKind
+from ._movegen_py import _slider_rays
+from .board import _KIND_CODE, Board, PieceKind
 
 OFFENSIVE = "offensive"
 DEFENSIVE = "defensive"
 
 BASE_NAMES = ("protects", "threatens", "pins")
+
+_SLIDERS = (PieceKind.BISHOP, PieceKind.ROOK, PieceKind.QUEEN)
 
 _BINARY_INVERSE = {
     "protects": "protected-by",
@@ -89,33 +95,14 @@ def extract_relations(board: Board) -> frozenset:
             else:
                 out.add(Relation("threatens", OFFENSIVE, piece.id, (other.id,)))
 
-    sliders = {PieceKind.BISHOP: "diag", PieceKind.ROOK: "orth", PieceKind.QUEEN: "both"}
     for piece in board.pieces:
-        mode = sliders.get(piece.kind)
-        if mode is None:
+        if piece.kind not in _SLIDERS:
             continue
-        dirs = []
-        if mode in ("orth", "both"):
-            dirs += [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        if mode in ("diag", "both"):
-            dirs += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for df, dr in dirs:
-            blocker = None
-            f, r = piece.square.file + df, piece.square.rank + dr
-            while 1 <= f <= 8 and 1 <= r <= 8:
-                hit = by_index.get((r - 1) * 8 + (f - 1))
-                if hit is not None:
-                    if blocker is None:
-                        if hit.color is piece.color:
-                            break
-                        blocker = hit
-                    else:
-                        if hit.color is blocker.color:
-                            out.add(Relation("pins", OFFENSIVE, piece.id,
-                                             (blocker.id, hit.id)))
-                        break
-                f += df
-                r += dr
+        for ray in _slider_rays(_KIND_CODE[piece.kind], piece.square.index):
+            hits = [by_index[s] for s in ray if s in by_index]
+            if len(hits) >= 2 and hits[0].color is not piece.color \
+                    and hits[1].color is hits[0].color:
+                out.add(Relation("pins", OFFENSIVE, piece.id, (hits[0].id, hits[1].id)))
     return frozenset(out)
 
 

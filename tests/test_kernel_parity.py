@@ -175,13 +175,21 @@ def _raw_squares(pieces):
 
 @pytest.mark.parametrize("code", range(pure.WP, pure.BK + 1))
 def test_lone_piece_attacks_on_every_square(compiled, code):
-    """The pure kernel's per-square tables at the board's edges: one piece
-    alone on each square, its targets and every square it attacks."""
+    """The kernels' per-square tables at the board's edges: one piece alone
+    on each square, its targets, every square it attacks and the moves its
+    side generates. With no king every pseudo-move is legal, so a lone
+    knight, king or slider moves to exactly the squares it attacks."""
     white = code <= pure.WK
     for s in range(64):
         sq = _raw_squares({s: code})
         targets = pure.attack_targets(sq, s)
         assert compiled.attack_targets(sq, s) == targets, s
+        st = (sq, 0 if white else 1, 0, -1)
+        moves = pure.legal_moves(*st)
+        assert compiled.legal_moves(*st) == moves, s
+        assert pure.has_legal_move(*st) is compiled.has_legal_move(*st) is bool(moves)
+        if code not in (pure.WP, pure.BP):
+            assert [to for _, to, _, _ in moves] == targets, s
         for t in range(64):
             for by_white in (True, False):
                 want = by_white == white and t in targets
@@ -406,7 +414,7 @@ def _rejects_square_off_board(kernel, target):
 # The same checks on both kernels; the pure ones run when the build fails.
 ENTRY_NAMES = pytest.mark.parametrize("name", list(ENTRY_ARGS))
 SIZES = pytest.mark.parametrize("size", [0, 63, 65])
-OFF_BOARD = pytest.mark.parametrize("target", [-1, 64])
+OFF_BOARD = pytest.mark.parametrize("target", [-1, 64, 2**40])
 
 
 @ENTRY_NAMES
@@ -474,6 +482,18 @@ def test_rejects_squares_with_a_byte_above_12(kernel, name):
     message = re.escape(f"{name}(): squares must hold piece codes 0..12, got 20 at 12")
     with pytest.raises(ValueError, match=message):
         getattr(kernel, name)(*ENTRY_ARGS[name](bytes(sq)))
+
+
+@pytest.mark.parametrize("promo", [300, -1, 1, 6, 7, 2**40])
+def test_kernels_reject_a_promo_that_is_not_a_piece_kind(compiled, promo):
+    """A move's promo is 0 or the piece kind a pawn becomes, 2..5; both
+    kernels reject any other with the same text instead of writing it."""
+    sq = _board.start_board()._squares
+    for name, args in (("apply_move", (sq, 0, 0, -1, 0, 1, 12, 20, promo, 0)),
+                       ("checking_moves", (sq, 0, 0, -1, [(12, 20, promo, 0)]))):
+        want = (ValueError, f"{name}(): promo must be 0 or 2..5, got {promo}")
+        assert _outcome(getattr(pure, name), args) == want
+        assert _outcome(getattr(compiled, name), args) == want
 
 
 @pytest.mark.parametrize("stm, to, captured", [(0, 3, -5), (1, 60, 68)])

@@ -126,18 +126,15 @@ def test_enumerate_rejects_bad_cap():
 
 
 def test_score_neutral_tag_is_zero():
-    _, models = _situations(MATE1_FEN)
     for profile in PROFILES.values():
-        assert score_situation(models[0], EmotionTag(), profile) == 0.0
+        assert score_situation(EmotionTag(), profile) == 0.0
 
 
 def test_score_styles_hand_checked():
-    _, models = _situations(MATE1_FEN)
     tag = EmotionTag(valence=-0.8, arousal=0.5, dominance=0.0, visits=0)
-    s = models[0]
-    assert score_situation(s, tag, PlayerProfile("defensive")) == pytest.approx(1.3)
-    assert score_situation(s, tag, PlayerProfile("aggressive")) == pytest.approx(0.5)
-    assert score_situation(s, tag, PlayerProfile("neutral")) == pytest.approx(1.3)
+    assert score_situation(tag, PlayerProfile("defensive")) == pytest.approx(1.3)
+    assert score_situation(tag, PlayerProfile("aggressive")) == pytest.approx(0.5)
+    assert score_situation(tag, PlayerProfile("neutral")) == pytest.approx(1.3)
 
 
 # The scale is a power of two >= 1: multiplying by it is exact for every
@@ -147,15 +144,13 @@ def test_score_styles_hand_checked():
 @given(st.integers(0, 6).map(lambda k: 2.0 ** k),
        st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 1)), min_size=2, max_size=6))
 def test_score_argmax_scale_invariant(c, tags):
-    _, models = _situations(MATE1_FEN)
-    s = models[0]
     base = PlayerProfile("neutral", arousal_weight=1.0, valence_weight=1.0)
     scaled = PlayerProfile("neutral", arousal_weight=c, valence_weight=c)
     emotions = [EmotionTag(valence=v, arousal=a) for v, a in tags]
     ranks_base = sorted(range(len(emotions)),
-                        key=lambda i: (-score_situation(s, emotions[i], base), i))
+                        key=lambda i: (-score_situation(emotions[i], base), i))
     ranks_scaled = sorted(range(len(emotions)),
-                          key=lambda i: (-score_situation(s, emotions[i], scaled), i))
+                          key=lambda i: (-score_situation(emotions[i], scaled), i))
     assert ranks_base == ranks_scaled
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 import oracles
-from cogchess.board import parse_fen, emit_fen
+from cogchess.board import (
+    Board, CastlingRights, Color, Piece, PieceKind, Square, emit_fen, parse_fen,
+)
 from cogchess.relations import (
     BASE_NAMES, DEFENSIVE, OFFENSIVE, Relation, extract_relations,
     format_relation, invert,
@@ -56,6 +58,58 @@ def test_matches_exhaustive_oracle(seed):
         ours = _oracle_form(b)
         theirs = _flatten_oracle(oracles.relations(oracles.from_board(b)))
         assert ours == theirs, emit_fen(b)
+
+
+_ORTH = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAG = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_DIRECTIONS = {PieceKind.ROOK: _ORTH, PieceKind.BISHOP: _DIAG,
+               PieceKind.QUEEN: _ORTH + _DIAG}
+
+
+def _line(s, df, dr):
+    """The squares from `s` in direction (df, dr) up to the board's edge,
+    nearest first."""
+    f, r = (s & 7) + df, (s >> 3) + dr
+    out = []
+    while 0 <= f <= 7 and 0 <= r <= 7:
+        out.append(r * 8 + f)
+        f, r = f + df, r + dr
+    return out
+
+
+def _raw_board(pieces):
+    """A board of `(kind, color, square index)` pieces, white to move."""
+    return Board(tuple(Piece(f"{c.value[0]}{k.value}-{i}", k, c, Square.from_index(i))
+                       for k, c, i in pieces),
+                 Color.WHITE, CastlingRights(), None, 0, 1)
+
+
+@pytest.mark.parametrize("kind", list(_DIRECTIONS), ids=lambda k: k.value)
+def test_pins_on_every_ray_match_the_oracle(kind):
+    """A white slider on each square, a knight on the first square of each
+    of its rays and a rook behind it: on each later square of the ray, and
+    on the square one index step past the ray's end, where a ray that
+    wrapped across the board's edge would go on. Both pieces take either
+    color."""
+    pins = 0
+    for s in range(64):
+        for df, dr in _DIRECTIONS[kind]:
+            ray = _line(s, df, dr)
+            if not ray:
+                continue
+            past = ray[-1] + 8 * dr + df
+            behind = ray[1:] + ([past] if 0 <= past <= 63 and past != s else [])
+            for rear in behind:
+                for front_color in Color:
+                    for rear_color in Color:
+                        b = _raw_board([(kind, Color.WHITE, s),
+                                        (PieceKind.KNIGHT, front_color, ray[0]),
+                                        (PieceKind.ROOK, rear_color, rear)])
+                        ours = _oracle_form(b)
+                        assert ours == oracles.relations(oracles.from_board(b)), \
+                            (kind, s, ray[0], rear, front_color, rear_color)
+                        pins += any(t[0] == "pins" for t in ours)
+    assert pins
 
 
 def test_pin_implies_line_blocked():
