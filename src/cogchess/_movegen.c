@@ -13,9 +13,9 @@
  * Inside the kernel a move is one int, frm<<16 | to<<8 | promo<<5 | flags,
  * so that integer order is tuple order. The squares argument is any
  * buffer (`bytes`, `bytearray`) of exactly 64 bytes, each EMPTY or a piece
- * code, and a square index, an en-passant move's captured square included,
- * must lie in 0..63, and a move's promo must be 0 or a piece kind 2..5;
- * anything else raises ValueError.
+ * code, the side to move must be 0 or 1, a square index, an en-passant
+ * move's captured square included, must lie in 0..63, and a move's promo
+ * must be 0 or a piece kind 2..5; anything else raises ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -599,10 +599,10 @@ static long long _perft_inner(const unsigned char *sq, int stm, int castling,
 
 /* Read the positional arguments of `name` as `spec` lists them, one letter
  * each: 's' a buffer of 64 piece codes, copied into `sq`; 'q' a square index
- * in 0..63, 'p' a promo (0, or a piece kind WN..WQ), 'i' an int and 'b' a
- * truth value, each into `ints` at its argument's position; 'm' a sequence
- * of moves, which the entry reads itself (`parse_move`). Returns -1 with an
- * exception set on a bad argument.
+ * in 0..63, 't' a side to move (0 or 1), 'p' a promo (0, or a piece kind
+ * WN..WQ), 'i' an int and 'b' a truth value, each into `ints` at its
+ * argument's position; 'm' a sequence of moves, which the entry reads itself
+ * (`parse_move`). Returns -1 with an exception set on a bad argument.
  */
 static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
                  const char *spec, unsigned char *sq, int *ints)
@@ -644,9 +644,15 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, const char *name,
             long v = PyLong_AsLongAndOverflow(args[i], &overflow);
             if (v == -1 && PyErr_Occurred())
                 return -1;
-            /* a square or promo out of range is a ValueError however large */
+            /* a square, side or promo out of range is a ValueError however
+               large */
             if (spec[i] == 'q' && (overflow || v < 0 || v > 63)) {
                 PyErr_Format(PyExc_ValueError, "%s(): square %S not in 0..63",
+                             name, args[i]);
+                return -1;
+            }
+            if (spec[i] == 't' && (overflow || (v != 0 && v != 1))) {
+                PyErr_Format(PyExc_ValueError, "%s(): stm must be 0 or 1, got %S",
                              name, args[i]);
                 return -1;
             }
@@ -755,7 +761,7 @@ ENTRY(legal_moves)
     unsigned char arr[64];
     int a[4], moves[MAX_MOVES], n, i, j;
     PyObject *out;
-    if (parse(args, nargs, "legal_moves", "siii", arr, a) < 0)
+    if (parse(args, nargs, "legal_moves", "stii", arr, a) < 0)
         return NULL;
     n = _legal(arr, a[1], a[2], a[3], moves);
     for (i = 1; i < n; i++) { /* insertion sort: packed order is tuple order */
@@ -783,7 +789,7 @@ ENTRY(has_legal_move)
 {
     unsigned char arr[64];
     int a[4];
-    if (parse(args, nargs, "has_legal_move", "siii", arr, a) < 0)
+    if (parse(args, nargs, "has_legal_move", "stii", arr, a) < 0)
         return NULL;
     return PyBool_FromLong(has_legal_move(arr, a[1], a[2], a[3]));
 }
@@ -795,7 +801,7 @@ ENTRY(checking_moves)
     Py_ssize_t i;
     Mask direct[BK + 1], opens[64];
     PyObject *moves, *out;
-    if (parse(args, nargs, "checking_moves", "siiim", arr, a) < 0)
+    if (parse(args, nargs, "checking_moves", "stiim", arr, a) < 0)
         return NULL;
     if (!(moves = PySequence_Fast(args[4], "checking_moves(): moves must be a sequence")))
         return NULL;
@@ -820,7 +826,7 @@ ENTRY(apply_move)
 {
     unsigned char arr[64];
     int a[10], stm, frm, to, flags, cap_sq, reset;
-    if (parse(args, nargs, "apply_move", "siiiiiqqpi", arr, a) < 0
+    if (parse(args, nargs, "apply_move", "stiiiiqqpi", arr, a) < 0
             || check_ep_square("apply_move", a[1], a[7], a[9]) < 0)
         return NULL;
     stm = a[1];
@@ -843,7 +849,7 @@ ENTRY(perft)
 {
     unsigned char arr[64];
     int a[5];
-    if (parse(args, nargs, "perft", "siiii", arr, a) < 0)
+    if (parse(args, nargs, "perft", "stiii", arr, a) < 0)
         return NULL;
     if (a[4] <= 0)
         return PyLong_FromLong(1);

@@ -86,6 +86,12 @@ def _square_error(name, s):
     return ValueError(f"{name}(): square {s} not in 0..63")
 
 
+def _check_stm(name, stm):
+    """ValueError unless `stm` is a side to move: 0 white, 1 black."""
+    if stm != 0 and stm != 1:
+        raise ValueError(f"{name}(): stm must be 0 or 1, got {stm}")
+
+
 def _check_promo(name, promo):
     """ValueError unless `promo` is 0 or a piece kind a pawn promotes to."""
     if promo != 0 and not WN <= promo <= WQ:
@@ -102,10 +108,10 @@ def _check_ep_square(name, white, to, flags):
 
 # The public entries check their arguments as the compiled kernel does:
 # the squares must be 64 bytes, each EMPTY or a piece code (`translate`
-# deletes those, so anything left is a bad byte), a square index, an
-# en-passant move's captured square included, must lie in 0..63, and a
-# move's promo must be 0 or a piece kind 2..5. The internal helpers they
-# call trust their arguments.
+# deletes those, so anything left is a bad byte), the side to move must be
+# 0 or 1, a square index, an en-passant move's captured square included,
+# must lie in 0..63, and a move's promo must be 0 or a piece kind 2..5.
+# The internal helpers they call trust their arguments.
 
 
 def attacked(sq, target, by_white):
@@ -429,6 +435,7 @@ def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("legal_moves", sq)
+    _check_stm("legal_moves", stm)
     out = _legal(sq, stm, castling, ep)
     out.sort()
     return out
@@ -447,6 +454,7 @@ def has_legal_move(sq, stm, castling, ep):
     """
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("has_legal_move", sq)
+    _check_stm("has_legal_move", stm)
     white = stm == 0
     king = _king_square(sq, white)
     if king < 0:
@@ -535,6 +543,7 @@ def checking_moves(sq, stm, castling, ep, moves):
     """
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("checking_moves", sq)
+    _check_stm("checking_moves", stm)
     white = stm == 0
     for frm, to, promo, flags in moves:
         if not 0 <= frm <= 63:
@@ -583,6 +592,7 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
     """Apply one move; returns the new (squares, stm, castling, ep, halfmove, fullmove)."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("apply_move", sq)
+    _check_stm("apply_move", stm)
     if not 0 <= frm <= 63:
         raise _square_error("apply_move", frm)
     if not 0 <= to <= 63:
@@ -606,6 +616,7 @@ def perft(sq, stm, castling, ep, depth):
     """Leaf count of the legal game tree at exactly `depth`."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("perft", sq)
+    _check_stm("perft", stm)
     if depth <= 0:
         return 1
     return _perft_inner(sq, stm, castling, ep, depth)

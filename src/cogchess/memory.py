@@ -15,6 +15,10 @@ Long-term memory maps location-abstracted situation signatures to
 
 with alpha = 0.3 and k = 5 by default. LTM supports concurrent reads and
 exclusive, per-key-atomic writes, and persists to a versioned JSON file.
+
+A signature is written from descriptors of entities and relations:
+`descriptors` formats them once per solve, and `situation_signature`
+sorts and joins those of one candidate situation.
 """
 
 from __future__ import annotations
@@ -220,34 +224,31 @@ class LongTermMemory:
         return ltm
 
 
-def situation_signature(situation) -> str:
-    """Canonical location-abstracted key for a situation model.
+def descriptors(mover, entities, relations, kinds) -> tuple:
+    """The signature descriptors of `entities` and of `relations`, as two
+    lists, with color normalized to own/enemy relative to `mover`.
 
-    The key is built from sorted entity descriptors (chunk pattern name or
-    piece kind, with color normalized to own/enemy relative to the mover)
-    and sorted relation descriptors (relation name plus the descriptors of
-    its piece endpoints). Squares never enter the key, so translated or
+    An entity reads `etype:label:own|enemy` (chunk pattern name or piece
+    kind as its label), a relation `name(kind:side>kind:side[,kind:side])`
+    over its piece endpoints, which `kinds` maps from piece id to (kind
+    label, color). Squares never enter a descriptor, so translated or
     mirrored instances of the same abstract situation collide on purpose.
-
-    `situation` must expose `color`, `entities` (each with .etype, .label,
-    .color), `relations`, and `piece_info` mapping piece id -> (kind
-    label, color).
     """
-    mover = situation.color
-
     def side(color) -> str:
         return "own" if color == mover else "enemy"
 
-    entity_part = sorted(
-        f"{e.etype}:{e.label}:{side(e.color)}" for e in situation.entities)
+    def end(pid) -> str:
+        kind, color = kinds[pid]
+        return f"{kind}:{side(color)}"
 
-    rel_part = []
-    for r in situation.relations:
-        ends = []
-        for pid in r.entities:
-            kind, color = situation.piece_info[pid]
-            ends.append(f"{kind}:{side(color)}")
-        rel_part.append(f"{r.name}({ends[0]}>{','.join(ends[1:])})")
-    rel_part.sort()
+    return ([f"{e.etype}:{e.label}:{side(e.color)}" for e in entities],
+            [f"{r.name}({end(r.entities[0])}>{','.join(map(end, r.entities[1:]))})"
+             for r in relations])
 
-    return "|".join(entity_part) + "||" + "|".join(rel_part)
+
+def situation_signature(entity_descriptors, relation_descriptors) -> str:
+    """Canonical location-abstracted key of a situation: the sorted join of
+    its entities' descriptors, `||`, then the sorted join of its relations'
+    descriptors (see `descriptors`)."""
+    return ("|".join(sorted(entity_descriptors)) + "||"
+            + "|".join(sorted(relation_descriptors)))

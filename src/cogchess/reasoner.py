@@ -3,17 +3,18 @@
 Orientation extracts the relations once, recognizes chunks from them and
 loads entities into a working memory of `SolveLimits.wm_capacity` slots
 (the trace's `working-memory` event lists them; exploration does not read
-them). Exploration enumerates candidate situation models (at most 4
-entities each) from what orientation perceived, scores them with the
-emotion tags recalled from long-term memory, and ranks them.
-Investigation runs a budgeted AND-OR search whose root move ordering
-prefers moves proposed by the chosen situation. Validation replays a
-claimed mating line full-width, with no pruning and no budget, so a
-solved verdict is always exact; every investigated situation feeds a
-reward back into long-term memory. The search, the validation and the
-survival check (`forced_loss_in`) read one mate rule, `_mover_moves`:
-the last mover move must be a check with no reply, and a stalemate never
-counts.
+them). Exploration enumerates candidate situations (at most 4 entities
+each) from what orientation perceived, scores each by its signature
+with the emotion tag recalled from long-term memory, and ranks them; a
+`SituationModel` is built only for each situation selected for
+investigation. Investigation runs a budgeted AND-OR search whose root
+move ordering prefers moves proposed by the chosen situation.
+Validation replays a claimed mating line full-width, with no pruning and
+no budget, so a solved verdict is always exact; every investigated
+situation feeds a reward back into long-term memory. The search, the
+validation and the survival check (`forced_loss_in`) read one mate rule,
+`_mover_moves`: the last mover move must be a check with no reply, and a
+stalemate never counts.
 
 Trace timestamps use a simulated clock (1 ms per searched node plus small
 fixed phase costs), never wall time, so runs are reproducible byte for
@@ -27,7 +28,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import board as _board
@@ -37,7 +38,7 @@ from .board import (
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
     EmotionTag, LongTermMemory, Entity, WorkingMemory, check_capacity,
-    situation_signature,
+    descriptors, situation_signature,
 )
 from .relations import extract_relations
 
@@ -73,11 +74,9 @@ class SituationEntity:
 class SituationModel:
     """A bounded partial description of the position (<= 4 entities)."""
 
-    color: Color
     entities: tuple
     relations: tuple
     moves: tuple
-    piece_info: dict = field(compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self):
         if not 1 <= len(self.entities) <= ENTITY_CAP:
@@ -213,7 +212,8 @@ def check_mate_depth(n: int) -> None:
 
 def enumerate_situations(board: Board, relations, pool, cover,
                          cap: int = ENTITY_CAP) -> list:
-    """Candidate situation models, deterministically pre-ranked.
+    """Candidate situations, deterministically pre-ranked, each as
+    `(signature, size, model)`, where `model()` builds its `SituationModel`.
 
     `relations`, `pool` and `cover` are what `perceive` returned for this
     board. Candidates are subsets (size <= cap, at most `MAX_CANDIDATES`
@@ -223,8 +223,10 @@ def enumerate_situations(board: Board, relations, pool, cover,
     most relations. The pre-rank orders candidates by size, then by
     covered relations (more first), then by entity ids. Subsets are
     ranked on piece bitmasks (one bit per board piece) and enumeration
-    stops at the size that fills `MAX_CANDIDATES`, so a `SituationModel`
-    is built only for each candidate kept.
+    stops at the size that fills `MAX_CANDIDATES`. Each candidate's
+    inside relations are found once, as indices; its signature joins the
+    descriptors formatted once per call, and no model is built until
+    `model()` is called.
     """
     check_entity_cap(cap)
     ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
@@ -264,17 +266,24 @@ def enumerate_situations(board: Board, relations, pool, cover,
             if colors != 3 or not members & movers:
                 continue
             outside = ~members
-            inside = sum(1 for rm in relation_masks if not rm & outside)
-            keys.append((size, -inside, combo, members))
+            inside = [j for j, rm in enumerate(relation_masks) if not rm & outside]
+            keys.append((size, -len(inside), combo, members, inside))
     keys.sort()  # total: no two subsets share an index tuple
 
-    mover = board.side_to_move
-    return [SituationModel(
-        mover, tuple(selected[i] for i in combo),
-        tuple(r for r, rm in zip(relations, relation_masks) if not rm & ~members),
-        tuple(m for m, mm in zip(legal, move_masks) if mm & members),
-        {p.id: (p.kind.value, p.color) for p in pieces if bit[p.id] & members})
-        for _, _, combo, members in keys[:MAX_CANDIDATES]]
+    kinds = {p.id: (p.kind.value, p.color) for p in pieces}
+    entity_desc, relation_desc = descriptors(board.side_to_move, selected,
+                                             relations, kinds)
+
+    def model(combo, members, inside) -> SituationModel:
+        return SituationModel(
+            tuple(selected[i] for i in combo),
+            tuple(relations[j] for j in inside),
+            tuple(m for m, mm in zip(legal, move_masks) if mm & members))
+
+    return [(situation_signature([entity_desc[i] for i in combo],
+                                 [relation_desc[j] for j in inside]),
+             size, functools.partial(model, combo, members, inside))
+            for size, _, combo, members, inside in keys[:MAX_CANDIDATES]]
 
 
 def score_situation(tag: EmotionTag, profile: PlayerProfile) -> float:
@@ -581,23 +590,22 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     candidates = enumerate_situations(board, relations, pool, cover,
                                       limits.entity_cap)
     scored = []
-    for s in candidates:
-        sig = situation_signature(s)
+    for sig, size, model in candidates:
         tag = ltm.lookup(sig)
-        scored.append((score_situation(tag, profile), tag, sig, s))
+        scored.append((score_situation(tag, profile), tag, sig, size, model))
     # stable: full ties keep the enumeration pre-rank (cold-start fallback)
     scored.sort(key=lambda t: (-t[0], -t[1].dominance))
     clock += _COST_EXPLORE_MS
     trace.add(clock, "exploration", "ranking", None,
               {"candidates": [{"signature": sig, "score": round(score, 9),
                                "dominance": round(tag.dominance, 9),
-                               "entities": len(s.entities)}
-                              for score, tag, sig, s in scored]})
+                               "entities": size}
+                              for score, tag, sig, size, _ in scored]})
 
     nodes_total = 0
     investigated = 0
     table = {}  # investigate's OR-node results, shared by this solve only
-    for episode, (score, tag, sig, situation) in enumerate(scored, start=1):
+    for episode, (score, tag, sig, _, model) in enumerate(scored, start=1):
         if investigated >= limits.max_situations:
             break
         if nodes_total >= limits.max_total_nodes:
@@ -606,6 +614,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
             break
         budget = min(effort_budget(tag, profile),
                      limits.max_total_nodes - nodes_total)
+        situation = model()
         trace.add(clock, "exploration", "selected", episode,
                   {"signature": sig, "score": round(score, 9),
                    "budget": budget,

@@ -7,13 +7,15 @@ moves are found by testing every (from, to) square pair against a
 geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
 
-`enumerate_situations_reference`, `investigate_reference`,
+`enumerate_situations_reference`, `situation_signature_reference`,
+`investigate_reference`,
 `match_batteries_reference`, `match_trapped_kings_reference`,
 `validate_line_reference`, `forced_loss_in_reference`,
 `_ordered_reference`, `checking_moves_reference` and
 `apply_move_reference` are the exceptions:
 the solver's exploration step in its earlier, exhaustive form (build
-every subset, sort, truncate), its investigation step as it was before it
+every subset, sort, truncate), the signature as it was when it formatted
+a whole situation model, its investigation step as it was before it
 kept a table of OR-node results, the battery and trapped-king matchers as
 they were before they read the relation set, the validation and survival
 check as they were before they shared the search's mate rule (each with
@@ -454,10 +456,8 @@ def enumerate_situations_reference(board, relations, pool, cover,
 
     legal = board.legal_moves()
     pid_at = {p.square.index: p.id for p in board.pieces}
-    piece_info = {p.id: (p.kind.value, p.color) for p in board.pieces}
 
     candidates = []
-    mover = board.side_to_move
     for size in range(2, cap + 1):
         for combo in itertools.combinations(selected, size):
             colors = {e.color for e in combo}
@@ -473,11 +473,41 @@ def enumerate_situations_reference(board, relations, pool, cover,
             if not moves:  # a situation must propose at least one move
                 continue
             entities = tuple(sorted(combo, key=lambda e: e.id))
-            info = {pid: piece_info[pid] for pid in member_pieces}
-            candidates.append(SituationModel(mover, entities, inside, moves, info))
+            candidates.append(SituationModel(entities, inside, moves))
 
     candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
     return candidates[:MAX_CANDIDATES]
+
+
+def situation_signature_reference(board, situation) -> str:
+    """`memory.situation_signature` as it was when it formatted every
+    descriptor of a situation model itself, with the side to move and the
+    piece kinds read from `board`.
+
+    The key is built from sorted entity descriptors (chunk pattern name or
+    piece kind, with color normalized to own/enemy relative to the mover)
+    and sorted relation descriptors (relation name plus the descriptors of
+    its piece endpoints).
+    """
+    mover = board.side_to_move
+    piece_info = {p.id: (p.kind.value, p.color) for p in board.pieces}
+
+    def side(color) -> str:
+        return "own" if color == mover else "enemy"
+
+    entity_part = sorted(
+        f"{e.etype}:{e.label}:{side(e.color)}" for e in situation.entities)
+
+    rel_part = []
+    for r in situation.relations:
+        ends = []
+        for pid in r.entities:
+            kind, color = piece_info[pid]
+            ends.append(f"{kind}:{side(color)}")
+        rel_part.append(f"{r.name}({ends[0]}>{','.join(ends[1:])})")
+    rel_part.sort()
+
+    return "|".join(entity_part) + "||" + "|".join(rel_part)
 
 
 def match_batteries_reference(board: Board) -> list:

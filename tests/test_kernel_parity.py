@@ -496,6 +496,20 @@ def test_kernels_reject_a_promo_that_is_not_a_piece_kind(compiled, promo):
         assert _outcome(getattr(compiled, name), args) == want
 
 
+@pytest.mark.parametrize("stm", [-1, 2, 5, 2**40])
+def test_kernels_reject_a_side_to_move_that_is_not_0_or_1(compiled, stm):
+    """The side to move is 0 (white) or 1 (black); every entry that takes
+    one rejects any other with the same text on both kernels, instead of
+    reading it as black."""
+    sq = _board.start_board()._squares
+    for name in ("legal_moves", "has_legal_move", "checking_moves", "apply_move",
+                 "perft"):
+        args = (sq, stm) + ENTRY_ARGS[name](sq)[2:]
+        want = (ValueError, f"{name}(): stm must be 0 or 1, got {stm}")
+        assert _outcome(getattr(pure, name), args) == want
+        assert _outcome(getattr(compiled, name), args) == want
+
+
 @pytest.mark.parametrize("stm, to, captured", [(0, 3, -5), (1, 60, 68)])
 def test_rejects_en_passant_capture_off_board(kernel, stm, to, captured):
     """An en-passant move's captured pawn stands beside its target; the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cogchess.memory import (
     DECAY_TAU_MS, Entity, EmotionTag, LongTermMemory, NEUTRAL_TAG,
-    WorkingMemory, situation_signature,
+    WorkingMemory, descriptors, situation_signature,
 )
 
 
@@ -256,19 +256,14 @@ def test_persistence_rejects_out_of_range():
 
 FakeEntity = namedtuple("FakeEntity", "etype label color")
 FakeRelation = namedtuple("FakeRelation", "name entities")
-FakeSituation = namedtuple("FakeSituation", "color entities relations piece_info")
-
-
-def _situation(mover, entities, relations, piece_info):
-    return FakeSituation(mover, entities, relations, piece_info)
 
 
 def test_signature_entity_order_irrelevant():
     info = {"r1": ("rook", "w"), "k1": ("king", "b")}
     ents = [FakeEntity("piece", "rook", "w"), FakeEntity("chunk", "wall-of-pawns", "b")]
     rels = [FakeRelation("threatens", ("r1", "k1"))]
-    a = situation_signature(_situation("w", ents, rels, info))
-    b = situation_signature(_situation("w", list(reversed(ents)), rels, info))
+    a = situation_signature(*descriptors("w", ents, rels, info))
+    b = situation_signature(*descriptors("w", list(reversed(ents)), rels, info))
     assert a == b
 
 
@@ -277,9 +272,9 @@ def test_signature_location_abstracted():
     info_left = {"wR-a1": ("rook", "w"), "bK-a8": ("king", "b")}
     info_right = {"wR-h1": ("rook", "w"), "bK-h8": ("king", "b")}
     ents = [FakeEntity("piece", "rook", "w"), FakeEntity("piece", "king", "b")]
-    a = situation_signature(_situation(
+    a = situation_signature(*descriptors(
         "w", ents, [FakeRelation("threatens", ("wR-a1", "bK-a8"))], info_left))
-    b = situation_signature(_situation(
+    b = situation_signature(*descriptors(
         "w", ents, [FakeRelation("threatens", ("wR-h1", "bK-h8"))], info_right))
     assert a == b
 
@@ -288,11 +283,11 @@ def test_signature_color_normalized():
     # colors swapped and mover swapped: same own/enemy structure
     info_w = {"wR": ("rook", "w"), "bK": ("king", "b")}
     info_b = {"bR": ("rook", "b"), "wK": ("king", "w")}
-    a = situation_signature(_situation(
+    a = situation_signature(*descriptors(
         "w",
         [FakeEntity("piece", "rook", "w"), FakeEntity("piece", "king", "b")],
         [FakeRelation("threatens", ("wR", "bK"))], info_w))
-    b = situation_signature(_situation(
+    b = situation_signature(*descriptors(
         "b",
         [FakeEntity("piece", "rook", "b"), FakeEntity("piece", "king", "w")],
         [FakeRelation("threatens", ("bR", "wK"))], info_b))
@@ -302,9 +297,9 @@ def test_signature_color_normalized():
 def test_signature_distinguishes_distinct_structures():
     info = {"wR": ("rook", "w"), "bK": ("king", "b")}
     ents = [FakeEntity("piece", "rook", "w"), FakeEntity("piece", "king", "b")]
-    with_rel = situation_signature(_situation(
+    with_rel = situation_signature(*descriptors(
         "w", ents, [FakeRelation("threatens", ("wR", "bK"))], info))
-    without_rel = situation_signature(_situation("w", ents, [], info))
+    without_rel = situation_signature(*descriptors("w", ents, [], info))
     assert with_rel != without_rel
 
 
@@ -333,12 +328,11 @@ def test_signature_no_collisions_across_generated_suite():
         if len(pids) >= 2 and rng.random() < 0.7:
             a, b = rng.sample(pids, 2)
             rels.append(FakeRelation(rng.choice(["threatens", "protects"]), (a, b)))
-        sit = _situation("w", ents, rels, info)
         descriptor = (tuple(sorted(f"{e.etype}:{e.label}:{e.color}" for e in ents)),
                       tuple(sorted((r.name,) + tuple(info[p][0] + info[p][1]
                                                      for p in r.entities)
                                    for r in rels)))
-        key = situation_signature(sit)
+        key = situation_signature(*descriptors("w", ents, rels, info))
         if descriptor in seen:
             continue
         for other_desc, other_key in seen.items():

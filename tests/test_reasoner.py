@@ -38,7 +38,8 @@ PHASE_ORDER = {"orientation": 0, "exploration": 1,
 
 
 def _explore(b, cap=4):
-    return enumerate_situations(b, *perceive(b, load_catalog()), cap)
+    return [model() for _, _, model in
+            enumerate_situations(b, *perceive(b, load_catalog()), cap)]
 
 
 def _situations(fen, cap=4):
@@ -98,25 +99,33 @@ def test_enumerate_moves_come_from_entities():
 @pytest.mark.parametrize("cap", [2, 3, 4])
 def test_enumerate_matches_exhaustive_reference(cap):
     """Ranking on bitmasks and stopping at the size that fills the list
-    keeps every candidate, in order, that building all subsets keeps."""
-    catalog = load_catalog()
-    for fen in list(DESK_FENS.values()) + MOTIF_FENS:
-        b = parse_fen(fen)
-        perceived = perceive(b, catalog)
-        got = enumerate_situations(b, *perceived, cap)
-        want = oracles.enumerate_situations_reference(b, *perceived, cap)
-        assert got == want, fen
-        assert [s.piece_info for s in got] == [s.piece_info for s in want], fen
+    keeps every candidate, in order, that building all subsets keeps, with
+    the built-in patterns and with the sample catalog; each candidate's
+    signature and size are those of the model it builds, as the
+    model-based signature formats them."""
+    for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
+        for fen in list(DESK_FENS.values()) + MOTIF_FENS:
+            b = parse_fen(fen)
+            perceived = perceive(b, catalog)
+            got = enumerate_situations(b, *perceived, cap)
+            want = oracles.enumerate_situations_reference(b, *perceived, cap)
+            assert [model() for _, _, model in got] == want, fen
+            assert [(sig, size) for sig, size, _ in got] == [
+                (oracles.situation_signature_reference(b, s), len(s.entities))
+                for s in want], fen
 
 
-@pytest.mark.parametrize("fen", [MOTIF_FENS[0], DESK_FENS["m1-009"]])
-def test_enumerate_builds_only_kept_models(monkeypatch, fen):
+@pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
+                         ids=["motif-0", "m1-009"])
+def test_solve_builds_only_investigated_models(monkeypatch, fen, n):
     built = []
     real = reasoner.SituationModel
     monkeypatch.setattr(reasoner, "SituationModel",
                         lambda *a: built.append(a) or real(*a))
-    models = _situations(fen)[1]
-    assert len(built) == len(models) <= MAX_CANDIDATES
+    result = solve(parse_fen(fen), n, PROFILES["neutral"])
+    ranking = next(e for e in result.trace.events if e.event == "ranking")
+    assert len(built) == result.situations_investigated
+    assert len(built) < len(ranking.data["candidates"]) <= MAX_CANDIDATES
 
 
 def test_enumerate_rejects_bad_cap():
