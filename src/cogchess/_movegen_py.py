@@ -16,6 +16,8 @@ pawn of each colour attacks it from. So finding a square's neighbours
 takes no file/rank arithmetic or bounds test.
 """
 
+from operator import index as _index
+
 EMPTY = 0
 WP, WN, WB, WR, WQ, WK = 1, 2, 3, 4, 5, 6
 BP, BN, BB, BR, BQ, BK = 7, 8, 9, 10, 11, 12
@@ -86,39 +88,67 @@ def _square_error(name, s):
     return ValueError(f"{name}(): square {s} not in 0..63")
 
 
-def _check_stm(name, stm):
-    """ValueError unless `stm` is a side to move: 0 white, 1 black."""
-    if stm != 0 and stm != 1:
+# The C `int` a plain integer argument must fit in.
+_INT_MIN, _INT_MAX = -2**31, 2**31 - 1
+
+
+def _check_ints(name, first, *values):
+    """TypeError unless each of `values`, the entry's arguments from
+    position `first` on, is an integer, and OverflowError unless it fits
+    a C `int`."""
+    for pos, v in enumerate(values, first):
+        if not _INT_MIN <= _index(v) <= _INT_MAX:
+            raise OverflowError(f"{name}(): argument {pos} out of range")
+
+
+def _check_position(name, sq, stm, castling, ep):
+    """Check the four arguments a position is given in: 64 piece codes,
+    a side to move 0 (white) or 1 (black), and two C `int`s."""
+    if len(sq) != 64 or sq.translate(None, _CODES):
+        raise _squares_error(name, sq)
+    if _index(stm) not in (0, 1):
         raise ValueError(f"{name}(): stm must be 0 or 1, got {stm}")
+    if not _INT_MIN <= _index(castling) <= _INT_MAX:
+        raise OverflowError(f"{name}(): argument 3 out of range")
+    if not _INT_MIN <= _index(ep) <= _INT_MAX:
+        raise OverflowError(f"{name}(): argument 4 out of range")
 
 
-def _check_promo(name, promo):
-    """ValueError unless `promo` is 0 or a piece kind a pawn promotes to."""
-    if promo != 0 and not WN <= promo <= WQ:
+def _check_move(name, first, white, frm, to, promo, flags):
+    """Check a move, the entry's arguments from position `first` on:
+    `frm` and `to` must be squares 0..63, `promo` 0 or a piece kind 2..5,
+    `flags` a C `int`, and an en-passant move's captured pawn must stand
+    on the board."""
+    if not 0 <= _index(frm) <= 63:
+        raise _square_error(name, frm)
+    if not 0 <= _index(to) <= 63:
+        raise _square_error(name, to)
+    if _index(promo) != 0 and not WN <= promo <= WQ:
         raise ValueError(f"{name}(): promo must be 0 or 2..5, got {promo}")
-
-
-def _check_ep_square(name, white, to, flags):
-    """ValueError unless an en-passant move's captured pawn is on the board."""
+    if not _INT_MIN <= _index(flags) <= _INT_MAX:
+        raise OverflowError(f"{name}(): argument {first + 3} out of range")
     if flags & FLAG_EP:
         cap = to - 8 if white else to + 8
         if not 0 <= cap <= 63:
             raise _square_error(name, cap)
 
 
-# The public entries check their arguments as the compiled kernel does:
-# the squares must be 64 bytes, each EMPTY or a piece code (`translate`
-# deletes those, so anything left is a bad byte), the side to move must be
-# 0 or 1, a square index, an en-passant move's captured square included,
-# must lie in 0..63, and a move's promo must be 0 or a piece kind 2..5.
-# The internal helpers they call trust their arguments.
+# The public entries check their arguments as the compiled kernel's `parse`
+# does, in argument order: the squares must be 64 bytes, each EMPTY or a
+# piece code (`translate` deletes those, so anything left is a bad byte);
+# every other argument but a truth value must be an integer (the
+# TypeError of `operator.index`); the side to move must be 0 or 1, a
+# square index, an en-passant move's captured square included, must lie
+# in 0..63, a move's promo must be 0 or a piece kind 2..5, and any other
+# integer must fit a C `int`. The internal helpers they call trust their
+# arguments.
 
 
 def attacked(sq, target, by_white):
     """True if `target` is attacked by at least one piece of the given color."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attacked", sq)
-    if not 0 <= target <= 63:
+    if not 0 <= _index(target) <= 63:
         raise _square_error("attacked", target)
     return _attacked(sq, target, by_white)
 
@@ -153,7 +183,7 @@ def attackers(sq, target, by_white):
     """Sorted squares of all pieces of the given color attacking `target`."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attackers", sq)
-    if not 0 <= target <= 63:
+    if not 0 <= _index(target) <= 63:
         raise _square_error("attackers", target)
     out = []
     for i in range(64):
@@ -169,7 +199,7 @@ def attack_targets(sq, frm):
     """Sorted squares attacked by the piece at `frm` (pawn capture squares only)."""
     if len(sq) != 64 or sq.translate(None, _CODES):
         raise _squares_error("attack_targets", sq)
-    if not 0 <= frm <= 63:
+    if not 0 <= _index(frm) <= 63:
         raise _square_error("attack_targets", frm)
     return _attack_targets(sq, frm)
 
@@ -433,9 +463,7 @@ def _legal(sq, stm, castling, ep):
 
 def legal_moves(sq, stm, castling, ep):
     """Sorted legal moves for the side to move."""
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("legal_moves", sq)
-    _check_stm("legal_moves", stm)
+    _check_position("legal_moves", sq, stm, castling, ep)
     out = _legal(sq, stm, castling, ep)
     out.sort()
     return out
@@ -452,9 +480,7 @@ def has_legal_move(sq, stm, castling, ep):
     the plain step onto that crossed square is legal already. Without a king every
     pseudo-move is legal, as in `_legal`.
     """
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("has_legal_move", sq)
-    _check_stm("has_legal_move", stm)
+    _check_position("has_legal_move", sq, stm, castling, ep)
     white = stm == 0
     king = _king_square(sq, white)
     if king < 0:
@@ -541,17 +567,10 @@ def checking_moves(sq, stm, castling, ep, moves):
     each is made on a copy of `sq` and tested there with `attacked`.
     Without an enemy king no move gives check, as `in_check` says.
     """
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("checking_moves", sq)
-    _check_stm("checking_moves", stm)
+    _check_position("checking_moves", sq, stm, castling, ep)
     white = stm == 0
     for frm, to, promo, flags in moves:
-        if not 0 <= frm <= 63:
-            raise _square_error("checking_moves", frm)
-        if not 0 <= to <= 63:
-            raise _square_error("checking_moves", to)
-        _check_promo("checking_moves", promo)
-        _check_ep_square("checking_moves", white, to, flags)
+        _check_move("checking_moves", 1, white, frm, to, promo, flags)
     king = _king_square(sq, not white)
     if king < 0:
         return []
@@ -590,16 +609,10 @@ def _update_castling(castling, frm, to):
 
 def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags):
     """Apply one move; returns the new (squares, stm, castling, ep, halfmove, fullmove)."""
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("apply_move", sq)
-    _check_stm("apply_move", stm)
-    if not 0 <= frm <= 63:
-        raise _square_error("apply_move", frm)
-    if not 0 <= to <= 63:
-        raise _square_error("apply_move", to)
-    _check_promo("apply_move", promo)
+    _check_position("apply_move", sq, stm, castling, ep)
+    _check_ints("apply_move", 5, halfmove, fullmove)
     white = stm == 0
-    _check_ep_square("apply_move", white, to, flags)
+    _check_move("apply_move", 7, white, frm, to, promo, flags)
     # the captured square: `to`, or en passant's victim one rank behind it
     cap_sq = (to - 8 if white else to + 8) if flags & FLAG_EP else to
     reset = sq[frm] in (WP, BP) or sq[cap_sq] != EMPTY
@@ -614,9 +627,8 @@ def apply_move(sq, stm, castling, ep, halfmove, fullmove, frm, to, promo, flags)
 
 def perft(sq, stm, castling, ep, depth):
     """Leaf count of the legal game tree at exactly `depth`."""
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("perft", sq)
-    _check_stm("perft", stm)
+    _check_position("perft", sq, stm, castling, ep)
+    _check_ints("perft", 5, depth)
     if depth <= 0:
         return 1
     return _perft_inner(sq, stm, castling, ep, depth)

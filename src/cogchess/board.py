@@ -98,6 +98,9 @@ class Square:
 
     @classmethod
     def from_index(cls, i: int) -> "Square":
+        """The square of flat index `i`; one shared object per index 0..63."""
+        if 0 <= i < 64:
+            return _SQUARES[i]
         return cls((i & 7) + 1, (i >> 3) + 1)
 
     @classmethod
@@ -108,6 +111,9 @@ class Square:
 
     def __str__(self) -> str:
         return self.name
+
+
+_SQUARES = tuple(Square((i & 7) + 1, (i >> 3) + 1) for i in range(64))
 
 
 @dataclass(frozen=True)
@@ -182,22 +188,30 @@ class CastlingRights:
 
 @dataclass(frozen=True)
 class Board:
-    """Full chess state. Equality is positional (piece ids are ignored)."""
+    """Full chess state. Equality is positional (piece ids are ignored).
 
-    pieces: tuple
+    `_squares` holds each square's kernel piece code and `_by_index` maps
+    each occupied square's index to its piece; both are built once, here.
+    """
+
+    pieces: tuple = field(compare=False)
     side_to_move: Color
     castling: CastlingRights
     en_passant: Optional[Square]
     halfmove_clock: int
     fullmove_number: int
-    _squares: bytes = field(init=False, repr=False, compare=False, default=b"")
+    _squares: bytes = field(init=False, repr=False)
+    _by_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = bytearray(64)
+        by_index = {}
         for p in self.pieces:
-            code = _KIND_CODE[p.kind] + (6 if p.color is Color.BLACK else 0)
-            arr[p.square.index] = code
+            i = p.square.index
+            arr[i] = _KIND_CODE[p.kind] + (6 if p.color is Color.BLACK else 0)
+            by_index[i] = p
         object.__setattr__(self, "_squares", bytes(arr))
+        object.__setattr__(self, "_by_index", by_index)
 
     # -- kernel plumbing ---------------------------------------------------
 
@@ -210,10 +224,7 @@ class Board:
         return self.en_passant.index if self.en_passant else -1
 
     def piece_at(self, square: Square) -> Optional[Piece]:
-        for p in self.pieces:
-            if p.square == square:
-                return p
-        return None
+        return self._by_index.get(square.index)
 
     def piece_by_id(self, pid: str) -> Optional[Piece]:
         for p in self.pieces:
@@ -250,7 +261,7 @@ class Board:
             self._squares, self._stm, self.castling.mask, self._ep,
             self.halfmove_clock, self.fullmove_number, *t)
         old = self._squares
-        by_index = {p.square.index: p for p in self.pieces}
+        by_index = self._by_index
         left = {old[i]: p for i, p in by_index.items() if nsq[i] != old[i]}
         pieces = []
         for i, code in enumerate(nsq):
@@ -294,8 +305,7 @@ class Board:
     def attackers_of(self, square: Square, color: Color) -> list:
         """Pieces of `color` attacking `square`."""
         idxs = _mg.attackers(self._squares, square.index, color is Color.WHITE)
-        by_index = {p.square.index: p for p in self.pieces}
-        return [by_index[i] for i in idxs]
+        return [self._by_index[i] for i in idxs]
 
     def find_move(self, uci: str) -> Move:
         """Look up a legal move by UCI string."""
@@ -303,20 +313,6 @@ class Board:
             if m.uci == uci:
                 return m
         raise IllegalMoveError(f"no legal move {uci!r} in {emit_fen(self)}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Board):
-            return NotImplemented
-        return (self._squares == other._squares
-                and self.side_to_move == other.side_to_move
-                and self.castling == other.castling
-                and self.en_passant == other.en_passant
-                and self.halfmove_clock == other.halfmove_clock
-                and self.fullmove_number == other.fullmove_number)
-
-    def __hash__(self):
-        return hash((self._squares, self.side_to_move, self.castling,
-                     self.en_passant, self.halfmove_clock, self.fullmove_number))
 
 
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
@@ -416,13 +412,12 @@ def parse_fen(text: str) -> Board:
 
 def emit_fen(b: Board) -> str:
     """Serialize a Board to canonical 6-field FEN."""
-    by_index = {p.square.index: p for p in b.pieces}
     rows = []
     for rank in range(8, 0, -1):
         row = ""
         run = 0
         for file in range(1, 9):
-            p = by_index.get((rank - 1) * 8 + (file - 1))
+            p = b._by_index.get((rank - 1) * 8 + (file - 1))
             if p is None:
                 run += 1
             else:

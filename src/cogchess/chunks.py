@@ -292,7 +292,6 @@ def _match_declarative(board: Board, pattern: ChunkPattern, held: set) -> list:
     else:
         colors = (Color.WHITE, Color.BLACK)
 
-    by_index = {p.square.index: p for p in board.pieces}
     for color in colors:
         mirror = -1 if color is Color.BLACK else 1
         for anchor in board.pieces:
@@ -302,7 +301,7 @@ def _match_declarative(board: Board, pattern: ChunkPattern, held: set) -> list:
             for slot in pattern.piece_slots[1:]:
                 f = anchor.square.file + slot.offset[0]
                 r = anchor.square.rank + mirror * slot.offset[1]
-                p = by_index.get((r - 1) * 8 + (f - 1)) \
+                p = board._by_index.get((r - 1) * 8 + (f - 1)) \
                     if 1 <= f <= 8 and 1 <= r <= 8 else None
                 if p is None or p.color is not color or p.kind not in slot.kinds:
                     break

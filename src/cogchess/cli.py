@@ -67,6 +67,19 @@ def _config(text: str) -> dict:
     return config
 
 
+# The config keys each command merges with its flags of the same name.
+SOLVE_KEYS = ("puzzles", "out", "profile", "seed", "wm_capacity", "entity_cap",
+              "max_nodes", "base_budget", "jobs")
+ANALYZE_KEYS = ("recording", "out")
+
+
+def _check_config_keys(config: dict, known) -> None:
+    """ValueError naming the first key of `config` not among `known`."""
+    for key in config:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+
+
 def _merged(args, config: dict, key: str, default):
     """Flag value if given, else config-file value, else default."""
     flag = getattr(args, key)
@@ -192,6 +205,7 @@ def run_solve(args) -> int:
         player = PlayerProfile(profile, base_budget=base_budget)
         limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
                              wm_capacity=wm_capacity)
+        _check_config_keys(config, SOLVE_KEYS)
     except ValueError as exc:
         print(f"invalid solve option: {exc}", file=sys.stderr)
         return 2
@@ -242,6 +256,7 @@ def run_analyze(args) -> int:
     try:
         rec_path = Path(_str_option(args, config, "recording", ""))
         out_dir = Path(_str_option(args, config, "out", "out"))
+        _check_config_keys(config, ANALYZE_KEYS)
     except ValueError as exc:
         print(f"invalid analyze option: {exc}", file=sys.stderr)
         return 2

@@ -193,7 +193,8 @@ def perceive(board: Board, catalog) -> tuple:
     relations = sorted(extract_relations(board), key=lambda r: r.id)
     chunks = recognize_chunks(board, catalog, relations)
     pool = [_chunk_entity(c) for c in chunks] + [_piece_entity(p) for p in board.pieces]
-    cover = {e.id: sum(1 for r in relations if set(e.piece_ids) & set(r.entities))
+    involved = [set(r.entities) for r in relations]
+    cover = {e.id: sum(1 for s in involved if not s.isdisjoint(e.piece_ids))
              for e in pool}
     return relations, pool, cover
 
@@ -223,10 +224,11 @@ def enumerate_situations(board: Board, relations, pool, cover,
     most relations. The pre-rank orders candidates by size, then by
     covered relations (more first), then by entity ids. Subsets are
     ranked on piece bitmasks (one bit per board piece) and enumeration
-    stops at the size that fills `MAX_CANDIDATES`. Each candidate's
-    inside relations are found once, as indices; its signature joins the
-    descriptors formatted once per call, and no model is built until
-    `model()` is called.
+    stops at the size that fills `MAX_CANDIDATES`. The legal moves are
+    the kernel's `legal_moves` tuples, each mover read from the board's
+    square index. Each candidate's inside relations are found once, as
+    indices; its signature joins the descriptors formatted once per call,
+    and no model, and no `Move`, is built until `model()` is called.
     """
     check_entity_cap(cap)
     ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
@@ -245,9 +247,8 @@ def enumerate_situations(board: Board, relations, pool, cover,
     def mask(pids) -> int:
         return functools.reduce(operator.or_, (bit[pid] for pid in pids), 0)
 
-    pid_at = {p.square.index: p.id for p in pieces}
-    legal = board.legal_moves()
-    move_masks = [bit[pid_at[m.from_sq.index]] for m in legal]
+    legal = _board._mg.legal_moves(*_state(board)[:4])
+    move_masks = [bit[board._by_index[m[0]].id] for m in legal]
     movers = functools.reduce(operator.or_, move_masks, 0)
     entity_masks = [mask(e.piece_ids) for e in selected]
     entity_colors = [1 if e.color is Color.WHITE else 2 for e in selected]
@@ -278,7 +279,8 @@ def enumerate_situations(board: Board, relations, pool, cover,
         return SituationModel(
             tuple(selected[i] for i in combo),
             tuple(relations[j] for j in inside),
-            tuple(m for m, mm in zip(legal, move_masks) if mm & members))
+            tuple(_move_from_tuple(m) for m, mm in zip(legal, move_masks)
+                  if mm & members))
 
     return [(situation_signature([entity_desc[i] for i in combo],
                                  [relation_desc[j] for j in inside]),

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from . import board as _board
 from ._movegen_py import _slider_rays
 from .board import _KIND_CODE, Board, PieceKind
 
@@ -81,13 +82,18 @@ class Relation:
 
 
 def extract_relations(board: Board) -> frozenset:
-    """All base relations present on the board (no inverses)."""
+    """All base relations present on the board (no inverses).
+
+    Attacks are the kernel's `attack_targets` square indices, looked up on
+    `cogchess.board` at call time, and each target's piece is read from the
+    board's square index.
+    """
     out = set()
-    by_index = {p.square.index: p for p in board.pieces}
+    by_index = board._by_index
 
     for piece in board.pieces:
-        for target in board.attack_squares(piece.square):
-            other = by_index.get(target.index)
+        for target in _board._mg.attack_targets(board._squares, piece.square.index):
+            other = by_index.get(target)
             if other is None:
                 continue
             if other.color is piece.color:

@@ -1,8 +1,10 @@
 """Board module tests: FEN round-trips, move legality, terminal detection,
 and oracle equivalence of the move generator."""
 
+import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,8 @@ import oracles
 from cogchess import board as _board
 from cogchess._movegen_py import FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP
 from cogchess.board import (
-    Color, FenError, GameStatus, IllegalMoveError, Move, PieceKind, Square,
-    emit_fen, parse_fen, start_board, START_FEN,
+    Board, Color, FenError, GameStatus, IllegalMoveError, Move, Piece,
+    PieceKind, Square, emit_fen, parse_fen, start_board, START_FEN,
 )
 from sampling import playout_positions, random_playout
 
@@ -216,6 +218,68 @@ def test_apply_matches_the_rule_based_reference():
     # the halfmove clock is both reset and carried on
     assert flags == {0, FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP} and promotions
     assert clocks == {False, True}
+
+
+def test_piece_index_matches_the_pieces():
+    """A board's square index maps each square to the piece on it, on
+    parsed boards and on every child along seeded playouts that castle
+    both ways, take en passant and promote; `piece_at` finds on each of
+    the 64 squares what a scan of the pieces finds."""
+    boards = playout_positions(40, seed=5)
+    flags, promotions = set(), 0
+    for seed, fen in enumerate([START_FEN, KIWIPETE, PROMOTIONS, EN_PASSANT]):
+        rng = random.Random(seed)
+        b = parse_fen(fen)
+        for _ in range(12):
+            moves = b.legal_moves()
+            if not moves:
+                break
+            boards.append(b)
+            raw = _board._mg.legal_moves(b._squares, b._stm, b.castling.mask, b._ep)
+            for m, t in zip(moves, raw):
+                boards.append(b.apply_move(m))
+                flags.add(t[3] & (FLAG_CASTLE_K | FLAG_CASTLE_Q | FLAG_EP))
+                promotions += bool(t[2])
+            b = b.apply_move(rng.choice(moves))
+    assert flags == {0, FLAG_CASTLE_K, FLAG_CASTLE_Q, FLAG_EP} and promotions
+    for b in boards:
+        assert b._by_index == {p.square.index: p for p in b.pieces}, emit_fen(b)
+        for i in range(64):
+            sq = Square.from_index(i)
+            scan = next((p for p in b.pieces if p.square == sq), None)
+            assert b.piece_at(sq) is scan, (emit_fen(b), sq.name)
+
+
+def test_square_from_index_shares_the_64_squares():
+    """`Square.from_index` returns one shared square per index 0..63, equal
+    to the square it names, and raises as the constructor does outside."""
+    for i in range(64):
+        sq = Square.from_index(i)
+        assert sq == Square((i & 7) + 1, (i >> 3) + 1) and sq.index == i
+        assert Square.from_index(i) is sq
+    for i in (-1, 64, 2**40):
+        message = f"square off board: file={(i & 7) + 1} rank={(i >> 3) + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Square.from_index(i)
+
+
+def test_board_equality_is_positional():
+    """Two boards are equal, and hash equal, when they differ only in piece
+    ids or in the order of their pieces; every other field counts, and a
+    board never equals a value of another type."""
+    b = parse_fen(KIWIPETE)
+    renamed = Board(tuple(Piece(f"x{i}", p.kind, p.color, p.square)
+                          for i, p in enumerate(reversed(b.pieces))),
+                    b.side_to_move, b.castling, b.en_passant,
+                    b.halfmove_clock, b.fullmove_number)
+    assert renamed.pieces != b.pieces
+    assert renamed == b and hash(renamed) == hash(b)
+    for change in ({"side_to_move": Color.BLACK}, {"halfmove_clock": 1},
+                   {"fullmove_number": 2}, {"castling": b.castling.from_mask(1)},
+                   {"pieces": b.pieces[1:]}):
+        assert dataclasses.replace(b, **change) != b, change
+    assert b.__eq__(emit_fen(b)) is NotImplemented
+    assert b != emit_fen(b)
 
 
 def test_status_back_rank_mate():

@@ -123,6 +123,36 @@ def test_rejects_non_string_config_value(puzzle_file, recording_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("solve", {"max_node": 1, "seed": 3}),
+    ("solve", {"seed": 3, "ltm": "ltm.json"}),
+    ("solve", {"seed": 3, "catalog": "catalog.json"}),
+    ("analyze", {"recordings": "r.jsonl"}),
+    ("analyze", {"au_table": "au.json"}),
+])
+def test_rejects_unknown_config_key(puzzle_file, recording_file, tmp_path,
+                                    capsys, monkeypatch, command, config):
+    """A config key the command does not merge is rejected before any
+    puzzle or recording is read, not ignored; the flag of that name is
+    what works."""
+    def unread(*args):
+        raise AssertionError("read an input past a bad option")
+
+    monkeypatch.setattr(cli, "_load_puzzles", unread)
+    monkeypatch.setattr(cli, "parse_recording", unread)
+    out = tmp_path / "x"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    inputs = {"solve": ["--puzzles", str(puzzle_file)],
+              "analyze": ["--recording", str(recording_file)]}
+    argv = [command, "--config", str(cfg), "--out", str(out)] + inputs[command]
+    assert main(argv) == 2
+    key = next(k for k in config if k != "seed")
+    assert capsys.readouterr() == (
+        "", f"invalid {command} option: unknown config key {key!r}\n")
+    assert not out.exists()
+
+
 # desk m3-004 at seed 7: the first situation runs out of budget at 751
 # nodes with the simulated clock at 821 ms; the second one solves it
 M3_004 = {"id": "m3-004", "fen": "k7/8/8/8/2K5/8/1Q6/8 w - - 0 1", "mate_in": 3}

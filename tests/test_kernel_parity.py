@@ -510,6 +510,33 @@ def test_kernels_reject_a_side_to_move_that_is_not_0_or_1(compiled, stm):
         assert _outcome(getattr(compiled, name), args) == want
 
 
+def _with_each_int_replaced(args, value):
+    """`args` with one integer argument, or one field of a `checking_moves`
+    move, replaced by `value`, for each in turn (truth values are not
+    integers here)."""
+    for i, v in enumerate(args):
+        if type(v) is int:
+            yield args[:i] + (value,) + args[i + 1:]
+        elif isinstance(v, list):
+            for j in range(4):
+                move = v[0][:j] + (value,) + v[0][j + 1:]
+                yield args[:i] + ([move],) + args[i + 1:]
+
+
+@pytest.mark.parametrize("value", [1.0, 2**40, -2**40])
+def test_kernels_agree_on_an_integer_argument_of_any_value(compiled, value):
+    """Every integer argument of every entry, and each field of a
+    `checking_moves` move, must be an integer within the C `int` range: a
+    float raises C's TypeError and a value past that range the same
+    OverflowError or ValueError, with the same text on both kernels."""
+    sq = _board.start_board()._squares
+    for name, make in ENTRY_ARGS.items():
+        for args in _with_each_int_replaced(make(sq), value):
+            want = _outcome(getattr(pure, name), args)
+            assert want[0] in (TypeError, OverflowError, ValueError), (name, args)
+            assert _outcome(getattr(compiled, name), args) == want, (name, args)
+
+
 @pytest.mark.parametrize("stm, to, captured", [(0, 3, -5), (1, 60, 68)])
 def test_rejects_en_passant_capture_off_board(kernel, stm, to, captured):
     """An en-passant move's captured pawn stands beside its target; the

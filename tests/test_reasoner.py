@@ -128,6 +128,23 @@ def test_solve_builds_only_investigated_models(monkeypatch, fen, n):
     assert len(built) < len(ranking.data["candidates"]) <= MAX_CANDIDATES
 
 
+@pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
+                         ids=["motif-0", "m1-009"])
+def test_solve_constructs_no_square(monkeypatch, fen, n):
+    """Perception and exploration read square indices and kernel tuples,
+    and every square a solve names is one of the 64 shared ones."""
+    board = parse_fen(fen)
+    made = []
+    real = _board.Square.__post_init__
+    monkeypatch.setattr(_board.Square, "__post_init__",
+                        lambda self: made.append(self) or real(self))
+    assert _board.Square(1, 1) == made.pop()  # the count counts
+    result = solve(board, n, PROFILES["neutral"],
+                   catalog=load_catalog(SAMPLE_CATALOG.read_text()))
+    assert result.situations_investigated > 0 and result.trace.events
+    assert made == []
+
+
 def test_enumerate_rejects_bad_cap():
     b = parse_fen(MATE1_FEN)
     with pytest.raises(ValueError):
