@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -131,15 +131,24 @@ def load_au_table(source=None) -> dict:
     return table
 
 
+_ZEROS = repeat(0.0)  # the intensity of an AU a frame does not hold
+
+
 def _set_mean(frame: AUFrame, aus) -> float:
+    """Mean intensity over the AU set `aus`, an absent AU counting as 0.0.
+
+    `sum` starts from the integer 0, so intensities of -0.0 sum to 0.0
+    and a valence never prints as -0.000000."""
     if not aus:
         return 0.0
-    return sum(frame.intensities.get(au, 0.0) for au in aus) / len(aus)
+    return sum(map(frame.intensities.get, aus, _ZEROS)) / len(aus)
 
 
 def _mean(values: list) -> float:
-    """Left-to-right sum over the count (0.0 for none), as `compute_arousal`
-    sums: running sums would drift from it in the last bits."""
+    """`sum` over the count (0.0 for none), as `compute_arousal` averages:
+    running sums would drift from it in the last bits. CPython 3.11 sums
+    floats left to right; 3.12 and later compensate, so there the last
+    bit may differ from the goldens, which are pinned on 3.11."""
     return sum(values) / len(values) if values else 0.0
 
 
@@ -207,16 +216,21 @@ def arousal_series(stream: List[AUFrame], table: dict) -> List[float]:
 
 
 def _segment_distance(p, a, b) -> float:
-    """Distance from point p to segment ab in 3D."""
-    ab = tuple(b[i] - a[i] for i in range(3))
-    ap = tuple(p[i] - a[i] for i in range(3))
-    denom = sum(v * v for v in ab)
+    """Distance from point p to segment ab in 3D.
+
+    `math.dist` scales its inputs, so it is kept for the last step: a
+    written-out square root can differ from it in the last bit."""
+    px, py, pz = p
+    ax, ay, az = a
+    x, y, z = b[0] - ax, b[1] - ay, b[2] - az
+    denom = x * x + y * y + z * z
     if denom == 0.0:
         t = 0.0
     else:
-        t = max(0.0, min(1.0, sum(ap[i] * ab[i] for i in range(3)) / denom))
-    closest = tuple(a[i] + t * ab[i] for i in range(3))
-    return math.dist(p, closest)
+        t = ((px - ax) * x + (py - ay) * y + (pz - az) * z) / denom
+        t = t if t < 1.0 else 1.0  # min(1.0, t)
+        t = t if t > 0.0 else 0.0  # max(0.0, t)
+    return math.dist(p, (ax + t * x, ay + t * y, az + t * z))
 
 
 def _touching(frame: SkeletonFrame) -> Optional[bool]:
@@ -263,40 +277,45 @@ def detect_self_touch_events(stream: List[SkeletonFrame],
     return _touch_events([f.t_ms for f in stream], touching)
 
 
-def _angle_between(u, v) -> float:
-    nu = math.sqrt(sum(x * x for x in u))
-    nv = math.sqrt(sum(x * x for x in v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroDivisionError("degenerate bone")
-    cos = sum(a * b for a, b in zip(u, v)) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, cos)))
-
-
-def _pair_speed(prev: SkeletonFrame, cur: SkeletonFrame,
-                report: Optional[QualityReport] = None) -> Optional[float]:
-    """Summed per-bone angular speed (rad/s) from `prev` to `cur`.
-
-    None when the pair has no positive time step. A bone of zero length
-    in either frame drops out of the sum and is counted in the report.
-    """
-    dt_s = (cur.t_ms - prev.t_ms) / 1000.0
-    if dt_s <= 0:
-        return None
-    total = 0.0
-    for a, b in BONES:
-        u = tuple(prev.joints[b][i] - prev.joints[a][i] for i in range(3))
-        v = tuple(cur.joints[b][i] - cur.joints[a][i] for i in range(3))
-        try:
-            total += _angle_between(u, v) / dt_s
-        except ZeroDivisionError:
-            if report is not None:
-                report.degenerate_bones += 1
-    return total
-
-
 def _pair_speeds(frames: List[SkeletonFrame],
                  report: Optional[QualityReport] = None) -> list:
-    return [_pair_speed(prev, cur, report) for prev, cur in zip(frames, frames[1:])]
+    """Summed per-bone angular speed (rad/s) of each consecutive pair.
+
+    None for a pair with no positive time step. A bone of zero length in
+    either frame of a pair drops out of its sum and is counted in the
+    report. Each frame's bone vectors and norms are built once, and only
+    the previous frame's are kept.
+    """
+    sqrt, acos = math.sqrt, math.acos
+    speeds = []
+    degenerate = 0
+    prev = prev_t = None
+    for frame in frames:
+        joints = frame.joints
+        bones = []
+        for a, b in BONES:
+            (ax, ay, az), (bx, by, bz) = joints[a], joints[b]
+            x, y, z = bx - ax, by - ay, bz - az
+            bones.append((x, y, z, sqrt(x * x + y * y + z * z)))
+        if prev is not None:
+            dt_s = (frame.t_ms - prev_t) / 1000.0
+            if dt_s <= 0:
+                speeds.append(None)
+            else:
+                total = 0.0
+                for (ux, uy, uz, nu), (vx, vy, vz, nv) in zip(prev, bones):
+                    if nu == 0.0 or nv == 0.0:
+                        degenerate += 1
+                        continue
+                    cos = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+                    cos = cos if cos < 1.0 else 1.0  # min(1.0, cos)
+                    cos = cos if cos > -1.0 else -1.0  # max(-1.0, cos)
+                    total += acos(cos) / dt_s
+                speeds.append(total)
+        prev, prev_t = bones, frame.t_ms
+    if report is not None:
+        report.degenerate_bones += degenerate
+    return speeds
 
 
 def compute_agitation(stream: List[SkeletonFrame],

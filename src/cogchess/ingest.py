@@ -13,14 +13,18 @@ Recording file format (documented, versioned):
 One record per line as space-separated key=value tokens; `t_ms` (integer
 milliseconds, one shared clock) and `kind` are mandatory, the rest is
 kind-specific payload. The `subject_id` header line is optional. Records
-of unknown kinds are preserved verbatim in a passthrough list. Lines that
-fail to parse are reported with their line number; a file with more than
-10% bad record lines is rejected outright.
+of unknown kinds are preserved verbatim in a passthrough list. AU,
+skeleton, pupil and marker records need `t_ms >= 0`; AU intensities lie
+in [0, 1], joint coordinates are finite and `diameter_mm` is finite and
+>= 0. Lines that fail to parse or break one of these rules are reported
+with their line number; a file with more than 10% bad record lines is
+rejected outright.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import List, Optional, Tuple
 
 from .affect import AUFrame, SkeletonFrame
@@ -29,7 +33,6 @@ FORMAT_VERSION = 1
 BAD_LINE_LIMIT = 0.10
 
 MARKER_KINDS = ("task_start", "task_end")
-
 
 class IngestError(ValueError):
     """Recording file violates the format. `code` names the violation."""
@@ -63,11 +66,13 @@ class RecordingSession:
 
 
 def _tokens(line: str) -> dict:
+    """A record's key=value tokens, split at each token's first '='. A
+    repeated key keeps its last value at the place it first appeared."""
     out = {}
     for tok in line.split():
-        if "=" not in tok:
+        k, eq, v = tok.partition("=")
+        if not eq:
             raise ValueError(f"token {tok!r} is not key=value")
-        k, v = tok.split("=", 1)
         out[k] = v
     return out
 
@@ -136,6 +141,9 @@ def _parse_record(line: str, session: RecordingSession) -> None:
     kind = kv.pop("kind", None)
     if kind is None:
         raise ValueError("missing kind")
+    # an AU frame checks its own time, after its payload has parsed
+    if t_ms < 0 and kind in ("skeleton", "marker", "pupil"):
+        raise ValueError("t_ms must be >= 0")
 
     if kind == "au":
         intensities = {}
@@ -150,7 +158,11 @@ def _parse_record(line: str, session: RecordingSession) -> None:
             parts = v.split(",")
             if len(parts) != 3:
                 raise ValueError(f"joint {k!r} needs x,y,z")
-            joints[k] = tuple(float(p) for p in parts)
+            x, y, z = parts
+            x, y, z = float(x), float(y), float(z)
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise ValueError(f"joint {k!r} coordinates {v} are not finite")
+            joints[k] = (x, y, z)
         session.skeleton_stream.append(SkeletonFrame(t_ms, joints))
     elif kind == "marker":
         marker = kv.get("marker")
@@ -158,7 +170,10 @@ def _parse_record(line: str, session: RecordingSession) -> None:
             raise ValueError(f"unknown marker {marker!r}")
         session.markers.append((t_ms, marker, int(kv["task"])))
     elif kind == "pupil":
-        session.pupil_stream.append((t_ms, float(kv["diameter_mm"])))
+        diameter = float(kv["diameter_mm"])
+        if not 0.0 <= diameter < inf:
+            raise ValueError(f"diameter_mm {diameter} is not a finite number >= 0")
+        session.pupil_stream.append((t_ms, diameter))
     else:
         session.passthrough.append(line)
 

@@ -25,14 +25,19 @@ search and proof references here order their moves with
 `_ordered_reference`), and the board's piece bookkeeping as it was
 before it followed the kernel's successor squares (with its own rules
 for the castling rook and the en-passant victim), each kept as the
-reference the current form must equal.
+reference the current form must equal. The analyzer's references at the
+end of the file (`_set_mean_reference` through `_parse_record_reference`)
+are its per-frame arithmetic and record parser as they were before they
+were written out on scalars.
 """
 
 import itertools
+import math
 from collections import namedtuple
-from typing import Optional
+from typing import List, Optional
 
 from cogchess import board as _board
+from cogchess.affect import BONES, AUFrame, QualityReport, SkeletonFrame
 from cogchess.board import (
     Board, CastlingRights, Color, Move, Piece, PieceKind, Square,
     _CODE_PROMO, _FEN_LETTER, _move_from_tuple, _move_to_tuple,
@@ -43,6 +48,7 @@ from cogchess.reasoner import (
     LineError, SituationModel, _apply, _BudgetExhausted, _state, _uci,
     check_entity_cap,
 )
+from cogchess.ingest import MARKER_KINDS, RecordingSession
 
 OPos = namedtuple("OPos", "pieces stm castles ep halfmove fullmove")
 # pieces: dict {(f, r): ("P", "w")} with kind letter in PNBRQK + color w/b
@@ -801,3 +807,114 @@ def apply_move_reference(board: Board, t) -> Board:
         halfmove_clock=nhalf,
         fullmove_number=nfull,
     )
+
+
+# The analyzer's per-frame arithmetic and record parser as they were
+# before each frame's bone vectors were built once and the arithmetic was
+# written out on scalars: the bodies are verbatim, only the names carry
+# `_reference`. `tests/test_analyzer_oracle.py` swaps them in for the
+# package's helpers and requires every output byte to match.
+
+def _set_mean_reference(frame: AUFrame, aus) -> float:
+    if not aus:
+        return 0.0
+    return sum(frame.intensities.get(au, 0.0) for au in aus) / len(aus)
+
+
+def _segment_distance_reference(p, a, b) -> float:
+    """Distance from point p to segment ab in 3D."""
+    ab = tuple(b[i] - a[i] for i in range(3))
+    ap = tuple(p[i] - a[i] for i in range(3))
+    denom = sum(v * v for v in ab)
+    if denom == 0.0:
+        t = 0.0
+    else:
+        t = max(0.0, min(1.0, sum(ap[i] * ab[i] for i in range(3)) / denom))
+    closest = tuple(a[i] + t * ab[i] for i in range(3))
+    return math.dist(p, closest)
+
+
+def _angle_between_reference(u, v) -> float:
+    nu = math.sqrt(sum(x * x for x in u))
+    nv = math.sqrt(sum(x * x for x in v))
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroDivisionError("degenerate bone")
+    cos = sum(a * b for a, b in zip(u, v)) / (nu * nv)
+    return math.acos(max(-1.0, min(1.0, cos)))
+
+
+def _pair_speed_reference(prev: SkeletonFrame, cur: SkeletonFrame,
+                          report: Optional[QualityReport] = None) -> Optional[float]:
+    """Summed per-bone angular speed (rad/s) from `prev` to `cur`.
+
+    None when the pair has no positive time step. A bone of zero length
+    in either frame drops out of the sum and is counted in the report.
+    """
+    dt_s = (cur.t_ms - prev.t_ms) / 1000.0
+    if dt_s <= 0:
+        return None
+    total = 0.0
+    for a, b in BONES:
+        u = tuple(prev.joints[b][i] - prev.joints[a][i] for i in range(3))
+        v = tuple(cur.joints[b][i] - cur.joints[a][i] for i in range(3))
+        try:
+            total += _angle_between_reference(u, v) / dt_s
+        except ZeroDivisionError:
+            if report is not None:
+                report.degenerate_bones += 1
+    return total
+
+
+def _pair_speeds_reference(frames: List[SkeletonFrame],
+                           report: Optional[QualityReport] = None) -> list:
+    return [_pair_speed_reference(prev, cur, report)
+            for prev, cur in zip(frames, frames[1:])]
+
+
+def _tokens_reference(line: str) -> dict:
+    out = {}
+    for tok in line.split():
+        if "=" not in tok:
+            raise ValueError(f"token {tok!r} is not key=value")
+        k, v = tok.split("=", 1)
+        out[k] = v
+    return out
+
+
+def _parse_record_reference(line: str, session: RecordingSession) -> None:
+    kv = _tokens_reference(line)
+    if "t_ms" not in kv:
+        raise ValueError("missing t_ms")
+    raw_t = kv.pop("t_ms")
+    try:
+        t_ms = int(raw_t)
+    except ValueError:
+        raise ValueError(f"non-integer t_ms {raw_t!r}")
+    kind = kv.pop("kind", None)
+    if kind is None:
+        raise ValueError("missing kind")
+
+    if kind == "au":
+        intensities = {}
+        for k, v in kv.items():
+            if not k.startswith("au"):
+                raise ValueError(f"unexpected au key {k!r}")
+            intensities[int(k[2:])] = float(v)
+        session.au_stream.append(AUFrame(t_ms, intensities))
+    elif kind == "skeleton":
+        joints = {}
+        for k, v in kv.items():
+            parts = v.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"joint {k!r} needs x,y,z")
+            joints[k] = tuple(float(p) for p in parts)
+        session.skeleton_stream.append(SkeletonFrame(t_ms, joints))
+    elif kind == "marker":
+        marker = kv.get("marker")
+        if marker not in MARKER_KINDS:
+            raise ValueError(f"unknown marker {marker!r}")
+        session.markers.append((t_ms, marker, int(kv["task"])))
+    elif kind == "pupil":
+        session.pupil_stream.append((t_ms, float(kv["diameter_mm"])))
+    else:
+        session.passthrough.append(line)

@@ -3,9 +3,9 @@
 The recording comes from `genrecording.make_recording(SEED)`: 75 s at
 30 Hz, past the 60 s arousal window, with partial frames, degenerate
 bones, duplicate timestamps, a skeleton gap, out-of-order streams and bad
-lines. The four series and statistics files must match the hashes below
-byte for byte. A change that is meant to alter the analyzer's output
-prints new hashes with
+lines. The four series and statistics files, and the data-quality
+report, must match the hashes below byte for byte. A change that is
+meant to alter the analyzer's output prints new hashes with
 
     PYTHONPATH=src python tests/test_analyze_golden.py --print
 """
@@ -27,6 +27,8 @@ GOLDEN = {
         "5b0634f38cb445b91908b37d0c3b8bff4fac87c29c4ff56e2ee519df82eb9da5",
     "touch_events.tsv":
         "adbb8ab7e149cf7fc9c1a11d3c298e451e6f4934e40996a520cf567faa02b26f",
+    "quality.tsv":
+        "59e5160078e3161489013410992d2f1fbb6250d464a3c3634ed196d5959a1648",
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cogchess.affect import load_au_table, task_stats
+from cogchess.affect import analyze_session, load_au_table, task_stats
 from cogchess.ingest import (
     IngestError, RecordingSession, parse_recording, segment_tasks,
     serialize_recording,
@@ -66,6 +66,45 @@ def test_missing_payload_key_named():
         "\n".join(f"t_ms={t} kind=au au1=0.1" for t in range(10))
     session = parse_recording(text)
     assert session.line_errors == [(2, "missing key 'diameter_mm'")]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("t_ms=-5 kind=skeleton head=0.0,1.6,0.0", "t_ms must be >= 0"),
+    ("t_ms=-5 kind=pupil diameter_mm=3.2", "t_ms must be >= 0"),
+    ("t_ms=-5 kind=marker marker=task_start task=1", "t_ms must be >= 0"),
+    ("t_ms=5 kind=skeleton head=nan,1.6,0.0",
+     "joint 'head' coordinates nan,1.6,0.0 are not finite"),
+    ("t_ms=5 kind=skeleton head=0.0,1.6,0.0 left_wrist=0.1,inf,0.0",
+     "joint 'left_wrist' coordinates 0.1,inf,0.0 are not finite"),
+    ("t_ms=5 kind=skeleton head=0.0,1.6,-inf",
+     "joint 'head' coordinates 0.0,1.6,-inf are not finite"),
+    ("t_ms=5 kind=pupil diameter_mm=nan", "diameter_mm nan is not a finite number >= 0"),
+    ("t_ms=5 kind=pupil diameter_mm=inf", "diameter_mm inf is not a finite number >= 0"),
+    ("t_ms=5 kind=pupil diameter_mm=-0.5",
+     "diameter_mm -0.5 is not a finite number >= 0"),
+], ids=["skeleton-t", "pupil-t", "marker-t", "joint-nan", "joint-inf",
+        "joint-minus-inf", "pupil-nan", "pupil-inf", "pupil-negative"])
+def test_refused_time_or_value_is_a_bad_line(line, message):
+    text = "format_version 1\n" + line + "\n" + \
+        "\n".join(f"t_ms={t} kind=au au1=0.1" for t in range(10))
+    session = parse_recording(text)
+    assert session.line_errors == [(2, message)]
+    assert session.skeleton_stream == session.pupil_stream == session.markers == []
+    assert analyze_session(session, TABLE)[4].bad_lines == 1
+
+
+def test_time_checked_before_the_payload_except_on_au_records():
+    text = "format_version 1\n" + "\n".join([
+        "t_ms=-5 kind=pupil",
+        "t_ms=-5 kind=skeleton head=nan,0,0",
+        "t_ms=-5 kind=au au1=x",
+        "t_ms=-5 kind=gaze x=1",
+    ] + [f"t_ms={t} kind=au au1=0.1" for t in range(30)])
+    session = parse_recording(text)
+    assert session.line_errors == [
+        (2, "t_ms must be >= 0"), (3, "t_ms must be >= 0"),
+        (4, "could not convert string to float: 'x'")]
+    assert session.passthrough == ["t_ms=-5 kind=gaze x=1"]
 
 
 def test_out_of_order_streams_listed():
