@@ -39,6 +39,7 @@ EMOTION_DWELL_MS = 500
 
 REQUIRED_JOINTS = ("head", "left_wrist", "right_wrist", "left_elbow",
                    "right_elbow", "left_shoulder", "right_shoulder")
+_REQUIRED = frozenset(REQUIRED_JOINTS)
 
 # bone-direction vectors tracked for agitation
 BONES = (
@@ -74,7 +75,7 @@ class SkeletonFrame:
 
     @property
     def partial(self) -> bool:
-        return any(j not in self.joints for j in REQUIRED_JOINTS)
+        return not _REQUIRED <= self.joints.keys()
 
 
 @dataclass(frozen=True)
@@ -355,13 +356,11 @@ def agitation_series(usable_frames: List[SkeletonFrame],
 
 def compute_body_volume(frame: SkeletonFrame) -> float:
     """Volume (m^3) of the axis-aligned bounding box around all joints."""
-    pts = list(frame.joints.values())
-    if len(pts) < 2:
+    if len(frame.joints) < 2:
         raise ValueError("body volume needs at least 2 joints")
     vol = 1.0
-    for i in range(3):
-        coords = [p[i] for p in pts]
-        vol *= max(coords) - min(coords)
+    for axis in zip(*frame.joints.values()):
+        vol *= max(axis) - min(axis)
     return vol
 
 

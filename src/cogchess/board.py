@@ -159,8 +159,23 @@ def _move_from_tuple(t) -> Move:
 
 
 def _move_to_tuple(m: Move):
-    """The `(frm, to, promo)` key of the kernel's move tuples for `m`."""
-    return (m.from_sq.index, m.to_sq.index, _PROMO_CODE[m.promotion])
+    """The `(frm, to, promo)` key of the kernel's move tuples for `m`; a
+    promotion to a pawn or a king gives a key no move tuple has."""
+    return (m.from_sq.index, m.to_sq.index, _PROMO_CODE.get(m.promotion))
+
+
+_SQUARE_INDEX = {s.name: i for i, s in enumerate(_SQUARES)}
+_UCI_PROMO = {_FEN_LETTER[k] if k else "": c for k, c in _PROMO_CODE.items()}
+
+
+def _uci_key(text) -> Optional[tuple]:
+    """The `(frm, to, promo)` key that UCI `text` spells as `Move.uci`
+    would, or None for anything that spells no move."""
+    if not isinstance(text, str):
+        return None
+    key = (_SQUARE_INDEX.get(text[:2]), _SQUARE_INDEX.get(text[2:4]),
+           _UCI_PROMO.get(text[4:]))
+    return None if None in key else key
 
 
 @dataclass(frozen=True)
@@ -225,12 +240,6 @@ class Board:
 
     def piece_at(self, square: Square) -> Optional[Piece]:
         return self._by_index.get(square.index)
-
-    def piece_by_id(self, pid: str) -> Optional[Piece]:
-        for p in self.pieces:
-            if p.id == pid:
-                return p
-        return None
 
     # -- operations ----------------------------------------------------------
 
@@ -309,9 +318,10 @@ class Board:
 
     def find_move(self, uci: str) -> Move:
         """Look up a legal move by UCI string."""
-        for m in self.legal_moves():
-            if m.uci == uci:
-                return m
+        key = _uci_key(uci)
+        for t in _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep):
+            if t[:3] == key:
+                return _move_from_tuple(t)
         raise IllegalMoveError(f"no legal move {uci!r} in {emit_fen(self)}")
 
 

@@ -11,7 +11,12 @@ investigation. Investigation runs a budgeted AND-OR search whose root
 move ordering prefers moves proposed by the chosen situation.
 Validation replays a claimed mating line full-width, with no pruning and
 no budget, so a solved verdict is always exact; every investigated
-situation feeds a reward back into long-term memory. The search, the
+situation feeds a reward back into long-term memory.
+
+Inside the solver a move is the kernel's `(frm, to, promo)` key: a
+situation model proposes keys, the search runs on the kernel's move
+tuples, and validation finds each move of a line by its key. `Move`s
+are built only for the lines investigation returns. The search, the
 validation and the survival check (`forced_loss_in`) read one mate rule,
 `_mover_moves`: the last mover move must be a check with no reply, and a
 stalemate never counts.
@@ -33,7 +38,7 @@ from typing import Optional
 
 from . import board as _board
 from .board import (
-    Board, Color, Move, _move_from_tuple, _move_to_tuple, emit_fen,
+    Board, Color, Move, _move_from_tuple, _move_to_tuple, _uci_key, emit_fen,
 )
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
@@ -72,11 +77,12 @@ class SituationEntity:
 
 @dataclass(frozen=True)
 class SituationModel:
-    """A bounded partial description of the position (<= 4 entities)."""
+    """A bounded partial description of the position: its entities (1 to
+    4), and `proposed`, the `(frm, to, promo)` keys of the legal moves of
+    their pieces."""
 
     entities: tuple
-    relations: tuple
-    moves: tuple
+    proposed: frozenset
 
     def __post_init__(self):
         if not 1 <= len(self.entities) <= ENTITY_CAP:
@@ -228,7 +234,8 @@ def enumerate_situations(board: Board, relations, pool, cover,
     the kernel's `legal_moves` tuples, each mover read from the board's
     square index. Each candidate's inside relations are found once, as
     indices; its signature joins the descriptors formatted once per call,
-    and no model, and no `Move`, is built until `model()` is called.
+    and no model is built until `model()` is called. A model's proposed
+    keys are read off the kernel tuples; no `Move` is built.
     """
     check_entity_cap(cap)
     ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
@@ -275,16 +282,14 @@ def enumerate_situations(board: Board, relations, pool, cover,
     entity_desc, relation_desc = descriptors(board.side_to_move, selected,
                                              relations, kinds)
 
-    def model(combo, members, inside) -> SituationModel:
+    def model(combo, members) -> SituationModel:
         return SituationModel(
             tuple(selected[i] for i in combo),
-            tuple(relations[j] for j in inside),
-            tuple(_move_from_tuple(m) for m, mm in zip(legal, move_masks)
-                  if mm & members))
+            frozenset(m[:3] for m, mm in zip(legal, move_masks) if mm & members))
 
     return [(situation_signature([entity_desc[i] for i in combo],
                                  [relation_desc[j] for j in inside]),
-             size, functools.partial(model, combo, members, inside))
+             size, functools.partial(model, combo, members))
             for size, _, combo, members, inside in keys[:MAX_CANDIDATES]]
 
 
@@ -400,7 +405,7 @@ def investigate(board: Board, situation: SituationModel, n: int,
     if n < 1 or budget < 1:
         raise ValueError("need n >= 1 and budget >= 1")
     mg = _board._mg
-    preferred = {_move_to_tuple(m) for m in situation.moves}
+    preferred = situation.proposed
     table = {} if table is None else table
     counter = {"nodes": 0}
 
@@ -490,26 +495,26 @@ def _prove_mate(board: Board, movers_left: int) -> bool:
     return _proves(_board._mg, _state(board), movers_left)
 
 
-def _uci(m) -> str:
-    return _move_from_tuple(m).uci
-
-
-def _find(mg, state, uci: str):
-    """The legal move of `state` spelled `uci`, or LineError."""
-    for m in mg.legal_moves(*state[:4]):
-        if _uci(m) == uci:
-            return m
-    raise LineError(f"illegal move {uci!r} in line")
+def _find(mg, state, m):
+    """The legal move tuple of `state` that `m`, a Move or UCI text, names
+    by its `(frm, to, promo)` key, or LineError."""
+    is_move = isinstance(m, Move)
+    key = _move_to_tuple(m) if is_move else _uci_key(str(m))
+    for t in mg.legal_moves(*state[:4]):
+        if t[:3] == key:
+            return t
+    raise LineError(f"illegal move {m.uci if is_move else str(m)!r} in line")
 
 
 def validate_line(board: Board, line, n: int) -> bool:
     """Does the line force mate in <= n mover moves against every defense?
 
-    `line` holds Moves or UCI strings. It is replayed once into the
-    kernel's move tuples, which are the proof's script: the mover follows
-    the scripted moves while the opponent complies with the line; on any
-    deviation the continuation is re-proved full-width. Raises LineError
-    if the line itself is not a legal sequence.
+    `line` holds Moves or UCI strings. Each is found by its key among the
+    kernel's legal move tuples of its ply, and those tuples are the
+    proof's script: the mover follows the scripted moves while the
+    opponent complies with the line; on any deviation the continuation
+    is re-proved full-width. Raises LineError if the line itself is not
+    a legal sequence.
     """
     if not line or len(line) > 2 * n - 1:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
@@ -517,7 +522,7 @@ def validate_line(board: Board, line, n: int) -> bool:
     start = pos = _state(board)
     script = []
     for m in line:
-        script.append(_find(mg, pos, m.uci if isinstance(m, Move) else str(m)))
+        script.append(_find(mg, pos, m))
         pos = _apply(mg, pos, script[-1])
     return _proves(mg, start, n, tuple(script))
 
@@ -626,15 +631,15 @@ def solve(board: Board, n: int, profile: PlayerProfile,
         investigated += 1
         nodes_total += result.nodes
         clock += result.nodes * _COST_PER_NODE_MS
+        ucis = [m.uci for m in result.line] if result.line else None
         trace.add(clock, "investigation", "searched", episode,
                   {"nodes": result.nodes, "exhausted": result.exhausted,
-                   "line": [m.uci for m in result.line] if result.line else None})
+                   "line": ucis})
 
         if result.line:
-            ucis = [m.uci for m in result.line]
-            valid = validate_line(board, ucis, n)
+            valid = validate_line(board, result.line, n)
             clock += _COST_VALIDATE_MS
-            proposed = ucis[0] in {m.uci for m in situation.moves}
+            proposed = _move_to_tuple(result.line[0]) in situation.proposed
             trace.add(clock, "validation", "checked", episode,
                       {"line": ucis, "valid": valid, "proposed": proposed})
             if valid:

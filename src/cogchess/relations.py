@@ -121,13 +121,3 @@ def invert(r: Relation) -> list:
     roles = {"X": r.subject, "Y": r.objects[0], "Z": r.objects[1]}
     return [Relation(name, r.kind, roles[s], (roles[o1], roles[o2]))
             for name, s, o1, o2 in _PIN_PERMUTATIONS]
-
-
-def format_relation(r: Relation, board: Board) -> str:
-    """Line format ``(subject name object[, object2])`` with kind@square labels."""
-    def label(pid: str) -> str:
-        piece = board.piece_by_id(pid)
-        return f"{piece.kind.value}@{piece.square.name}" if piece else pid
-
-    objs = ", ".join(label(o) for o in r.objects)
-    return f"({label(r.subject)} {r.name} {objs})"

@@ -14,7 +14,9 @@ Keep it slow and obvious; it is the measuring stick, not the product.
 `_ordered_reference`, `checking_moves_reference` and
 `apply_move_reference` are the exceptions:
 the solver's exploration step in its earlier, exhaustive form (build
-every subset, sort, truncate), the signature as it was when it formatted
+every subset, sort, truncate) with its own situation model
+(`SituationModelReference`, which holds the inside relations and the
+proposed moves as `Move`s), the signature as it was when it formatted
 a whole situation model, its investigation step as it was before it
 kept a table of OR-node results, the battery and trapped-king matchers as
 they were before they read the relation set, the validation and survival
@@ -26,26 +28,30 @@ search and proof references here order their moves with
 before it followed the kernel's successor squares (with its own rules
 for the castling rook and the en-passant victim), each kept as the
 reference the current form must equal. The analyzer's references at the
-end of the file (`_set_mean_reference` through `_parse_record_reference`)
-are its per-frame arithmetic and record parser as they were before they
-were written out on scalars.
+end of the file (`_set_mean_reference` through
+`compute_body_volume_reference`) are its per-frame arithmetic, record
+parser, partial-frame test and body volume as they were before they were
+written out on scalars, a frozenset and a `zip`.
 """
 
 import itertools
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import List, Optional
 
 from cogchess import board as _board
-from cogchess.affect import BONES, AUFrame, QualityReport, SkeletonFrame
+from cogchess.affect import (
+    BONES, REQUIRED_JOINTS, AUFrame, QualityReport, SkeletonFrame,
+)
 from cogchess.board import (
     Board, CastlingRights, Color, Move, Piece, PieceKind, Square,
-    _CODE_PROMO, _FEN_LETTER, _move_from_tuple, _move_to_tuple,
+    _CODE_PROMO, _FEN_LETTER, _move_from_tuple,
 )
 from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
     ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
-    LineError, SituationModel, _apply, _BudgetExhausted, _state, _uci,
+    LineError, SituationModel, _apply, _BudgetExhausted, _state,
     check_entity_cap,
 )
 from cogchess.ingest import MARKER_KINDS, RecordingSession
@@ -445,11 +451,26 @@ def trapped_kings(pos):
     return out
 
 
+@dataclass(frozen=True)
+class SituationModelReference:
+    """`reasoner.SituationModel` as it was when it held the relations
+    inside its entities and its proposed moves as `Move`s."""
+
+    entities: tuple
+    relations: tuple
+    moves: tuple
+
+    @property
+    def entity_ids(self) -> tuple:
+        return tuple(e.id for e in self.entities)
+
+
 def enumerate_situations_reference(board, relations, pool, cover,
                                    cap=ENTITY_CAP):
     """`reasoner.enumerate_situations` as it was before it ranked subsets
     by piece bitmasks: builds every subset of size 2..cap as a
-    `SituationModel`, sorts them all and keeps the first `MAX_CANDIDATES`.
+    `SituationModelReference`, sorts them all and keeps the first
+    `MAX_CANDIDATES`.
     """
     check_entity_cap(cap)
     ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
@@ -479,7 +500,7 @@ def enumerate_situations_reference(board, relations, pool, cover,
             if not moves:  # a situation must propose at least one move
                 continue
             entities = tuple(sorted(combo, key=lambda e: e.id))
-            candidates.append(SituationModel(entities, inside, moves))
+            candidates.append(SituationModelReference(entities, inside, moves))
 
     candidates.sort(key=lambda s: (len(s.entities), -len(s.relations), s.entity_ids))
     return candidates[:MAX_CANDIDATES]
@@ -627,12 +648,13 @@ def investigate_reference(board: Board, situation: SituationModel, n: int,
     Root moves are ordered situation-first (checks, captures, quiet within
     each group); opponent replies are always exhaustive. Expands at most
     `budget` nodes; an exhausted budget is a failure for this situation,
-    not an error.
+    not an error. The situation's proposed moves are the package model's
+    `(frm, to, promo)` keys.
     """
     if n < 1 or budget < 1:
         raise ValueError("need n >= 1 and budget >= 1")
     mg = _board._mg
-    preferred = {_move_to_tuple(m)[:3] for m in situation.moves}
+    preferred = situation.proposed
     counter = {"nodes": 0}
 
     def spend():
@@ -698,6 +720,10 @@ def _proves_reference(mg, state, movers_left: int) -> bool:
                for r in replies):
             return True
     return False
+
+
+def _uci(m) -> str:
+    return _move_from_tuple(m).uci
 
 
 def _find_reference(mg, state, uci: str):
@@ -918,3 +944,23 @@ def _parse_record_reference(line: str, session: RecordingSession) -> None:
         session.pupil_stream.append((t_ms, float(kv["diameter_mm"])))
     else:
         session.passthrough.append(line)
+
+
+# `SkeletonFrame.partial` (as a function of the frame) and
+# `compute_body_volume` as they were before they tested a frozenset of the
+# required joints and took each axis from one `zip` of the joints.
+
+def _partial_reference(frame: SkeletonFrame) -> bool:
+    return any(j not in frame.joints for j in REQUIRED_JOINTS)
+
+
+def compute_body_volume_reference(frame: SkeletonFrame) -> float:
+    """Volume (m^3) of the axis-aligned bounding box around all joints."""
+    pts = list(frame.joints.values())
+    if len(pts) < 2:
+        raise ValueError("body volume needs at least 2 joints")
+    vol = 1.0
+    for i in range(3):
+        coords = [p[i] for p in pts]
+        vol *= max(coords) - min(coords)
+    return vol

@@ -3,11 +3,13 @@ they replaced.
 
 `oracles.py` keeps the set means, the touch test's segment distance, the
 pair speeds of agitation and the record parser as they were before they
-were written out on scalars. Each test runs `cogchess analyze` twice on
-one recording, once as it is and once with those references swapped in,
-and requires the same exit code, stdout, stderr and bytes of every TSV,
-the same parsed session (every line error in order included) and the
-same quality counts. It also compares each swapped function's own values
+were written out on scalars, and the partial-frame test and the body
+volume as they were before they read a frozenset and a `zip` of the
+joints. Each test runs `cogchess analyze` twice on one recording, once
+as it is and once with those references swapped in, and requires the
+same exit code, stdout, stderr and bytes of every TSV, the same parsed
+session (every line error in order included) and the same quality
+counts. It also compares each swapped function's own values
 over every frame of the recording, where a last-bit difference shows
 even when no printed digit moves. That comparison is bit-exact on
 CPython 3.11 only: the references' norms and dot products are `sum`s,
@@ -35,6 +37,8 @@ REFERENCES = (
     (affect, "_segment_distance", oracles._segment_distance_reference),
     (affect, "_pair_speeds", oracles._pair_speeds_reference),
     (ingest, "_parse_record", oracles._parse_record_reference),
+    (affect.SkeletonFrame, "partial", property(oracles._partial_reference)),
+    (affect, "compute_body_volume", oracles.compute_body_volume_reference),
 )
 
 
@@ -131,7 +135,9 @@ def _values(session) -> list:
                  for f in complete for side in ("left", "right")]
     report = QualityReport()
     speeds = affect._pair_speeds(complete, report)
-    return [means, distances, speeds, report]
+    partial = [f.partial for f in session.skeleton_stream]
+    volumes = [affect.compute_body_volume(f) for f in complete]
+    return [means, distances, speeds, report, partial, volumes]
 
 
 def _analysis(text: str, workdir, capsys) -> dict:

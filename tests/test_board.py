@@ -131,7 +131,8 @@ def test_apply_rejects_illegal_move():
             (START_FEN, "e2", "e5", None),
             (START_FEN, "e1", "g1", None),  # castling through its own pieces
             ("8/4P3/8/8/8/k7/8/K7 w - - 0 1", "e7", "e8", None),  # must promote
-            ("4k3/8/8/8/8/8/4P3/4K3 w - - 0 1", "e2", "e3", PieceKind.QUEEN)):
+            ("4k3/8/8/8/8/8/4P3/4K3 w - - 0 1", "e2", "e3", PieceKind.QUEEN),
+            ("8/4P3/8/8/8/k7/8/K7 w - - 0 1", "e7", "e8", PieceKind.KING)):
         with pytest.raises(IllegalMoveError):
             parse_fen(fen).apply_move(
                 Move(Square.from_name(frm), Square.from_name(to), promotion))

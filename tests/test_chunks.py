@@ -216,8 +216,9 @@ def test_wall_maximality():
 def test_members_reverify():
     catalog = load_catalog()
     for b in playout_positions(10, seed=404):
+        by_id = {p.id: p for p in b.pieces}
         for c in _recognize(b, catalog):
-            members = [b.piece_by_id(m) for m in c.members]
+            members = [by_id.get(m) for m in c.members]
             assert all(m is not None for m in members)
             assert c.anchor == min((m.square for m in members), key=lambda s: s.name)
             if c.pattern == "wall-of-pawns":

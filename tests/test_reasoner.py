@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import oracles
 from cogchess import board as _board
 from cogchess import chunks, reasoner
-from cogchess.board import parse_fen
+from cogchess.board import (
+    START_FEN, IllegalMoveError, Move, PieceKind, Square, parse_fen,
+)
 from cogchess.chunks import load_catalog
 from cogchess.memory import EmotionTag, LongTermMemory
 from cogchess.reasoner import (
@@ -32,6 +34,7 @@ SAMPLE_CATALOG = (Path(__file__).parent.parent / "src" / "cogchess" / "data"
 
 MATE1_FEN = "6k1/5ppp/8/8/8/8/8/4R2K w - - 0 1"
 MATE2_FEN = "r5k1/5ppp/8/8/8/4Q3/7K/4R3 w - - 0 1"
+PROMOTE_FEN = "8/4P3/8/8/8/k7/8/K7 w - - 0 1"  # e7-e8 only as a promotion
 
 PHASE_ORDER = {"orientation": 0, "exploration": 1,
                "investigation": 2, "validation": 3}
@@ -75,16 +78,6 @@ def test_enumerate_cap_monotone():
             return
 
 
-def test_enumerate_relations_stay_inside():
-    _, models = _situations(MATE2_FEN)
-    for s in models:
-        members = set()
-        for e in s.entities:
-            members.update(e.piece_ids)
-        for r in s.relations:
-            assert set(r.entities) <= members
-
-
 def test_enumerate_moves_come_from_entities():
     b, models = _situations(MATE2_FEN)
     pid_at = {p.square.index: p.id for p in b.pieces}
@@ -92,8 +85,8 @@ def test_enumerate_moves_come_from_entities():
         members = set()
         for e in s.entities:
             members.update(e.piece_ids)
-        for m in s.moves:
-            assert pid_at[m.from_sq.index] in members
+        for frm, _, _ in s.proposed:
+            assert pid_at[frm] in members
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4])
@@ -101,7 +94,8 @@ def test_enumerate_matches_exhaustive_reference(cap):
     """Ranking on bitmasks and stopping at the size that fills the list
     keeps every candidate, in order, that building all subsets keeps, with
     the built-in patterns and with the sample catalog; each candidate's
-    signature and size are those of the model it builds, as the
+    model holds the reference's entities and the keys of its moves, and
+    its signature and size are those of the reference model, as the
     model-based signature formats them."""
     for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
         for fen in list(DESK_FENS.values()) + MOTIF_FENS:
@@ -109,7 +103,10 @@ def test_enumerate_matches_exhaustive_reference(cap):
             perceived = perceive(b, catalog)
             got = enumerate_situations(b, *perceived, cap)
             want = oracles.enumerate_situations_reference(b, *perceived, cap)
-            assert [model() for _, _, model in got] == want, fen
+            models = [model() for _, _, model in got]
+            assert [(s.entities, s.proposed) for s in models] == [
+                (s.entities, {_board._move_to_tuple(m) for m in s.moves})
+                for s in want], fen
             assert [(sig, size) for sig, size, _ in got] == [
                 (oracles.situation_signature_reference(b, s), len(s.entities))
                 for s in want], fen
@@ -143,6 +140,23 @@ def test_solve_constructs_no_square(monkeypatch, fen, n):
                    catalog=load_catalog(SAMPLE_CATALOG.read_text()))
     assert result.situations_investigated > 0 and result.trace.events
     assert made == []
+
+
+@pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
+                         ids=["motif-0", "m1-009"])
+def test_solve_builds_moves_only_for_its_lines(monkeypatch, fen, n):
+    """Situation models propose kernel keys and validation finds moves by
+    key, so a solve builds one `Move` per move of each line investigation
+    returns, and no other."""
+    board = parse_fen(fen)
+    made = []
+    real = _board.Move.__init__
+    monkeypatch.setattr(_board.Move, "__init__",
+                        lambda self, *a, **k: made.append(self) or real(self, *a, **k))
+    result = solve(board, n, PROFILES["neutral"])
+    lines = [e.data["line"] or [] for e in result.trace.events if e.event == "searched"]
+    assert result.verdict == "solved"
+    assert len(made) == sum(map(len, lines)) > 0
 
 
 def test_enumerate_rejects_bad_cap():
@@ -241,22 +255,22 @@ def test_investigate_table_matches_reference(mate_in):
     for rec in (r for r in DESK if r["mate_in"] == mate_in):
         b, models = _situations(rec["fen"])
         for n in range(max(1, mate_in - 1), mate_in + 1):
-            want = {}  # (proposed moves, budget) -> reference outcome
+            want = {}  # (proposed keys, budget) -> reference outcome
             table = {}
             for s in models:
-                if (s.moves, 3000) not in want:
+                if (s.proposed, 3000) not in want:
                     for budget in (1, 2, 3, 7, 60, 3000):
-                        want[s.moves, budget] = _outcome(
+                        want[s.proposed, budget] = _outcome(
                             oracles.investigate_reference(b, s, n, budget))
-                own = min(want[s.moves, 3000][1], 3000)
+                own = min(want[s.proposed, 3000][1], 3000)
                 # the reference spends the same nodes at its own count and
                 # stops on that node one budget below it
-                want.setdefault((s.moves, own - 1), (None, own, True))
-                want.setdefault((s.moves, own), want[s.moves, 3000])
+                want.setdefault((s.proposed, own - 1), (None, own, True))
+                want.setdefault((s.proposed, own), want[s.proposed, 3000])
                 budgets = {k for k in (1, 2, 3, 7, 60) if k < own}
                 for budget in sorted(budgets | {own - 1, own, 3000} - {0}):
                     got = _outcome(investigate(b, s, n, budget, table))
-                    assert got == want[s.moves, budget], (rec["id"], n, budget)
+                    assert got == want[s.proposed, budget], (rec["id"], n, budget)
 
 
 def test_investigate_table_reuses_subtrees(monkeypatch):
@@ -377,6 +391,49 @@ def test_validation_and_survival_match_reference():
             child = b.apply_move(m)
             assert forced_loss_in(child, n - 1) == \
                 oracles.forced_loss_in_reference(child, n - 1), (rec["id"], m.uci)
+
+
+# (board, text): each text spells no legal move of its board
+NO_MOVE_TEXTS = [
+    (MATE1_FEN, ""), (MATE1_FEN, "e1e9x"), (MATE1_FEN, "E1E8"),
+    (PROMOTE_FEN, "e7e8Q"), (START_FEN, "e2e4q"), (PROMOTE_FEN, "e7e8"),
+    (MATE1_FEN, "e1e8 "), (MATE1_FEN, "e1e8qq"), (MATE1_FEN, b"e1e8"),
+]
+
+
+@pytest.mark.parametrize("fen, text", NO_MOVE_TEXTS,
+                         ids=[repr(text) for _, text in NO_MOVE_TEXTS])
+def test_text_that_names_no_move_is_refused(fen, text):
+    """Validation and `Board.find_move` read UCI text through one reader;
+    text that spells no legal move raises what it raised when each
+    compared the text with every legal move's UCI."""
+    b = parse_fen(fen)
+    with pytest.raises(LineError) as got:
+        validate_line(b, [text], 1)
+    with pytest.raises(LineError) as want:
+        oracles.validate_line_reference(b, [text], 1)
+    assert str(got.value) == str(want.value) == f"illegal move {str(text)!r} in line"
+    with pytest.raises(IllegalMoveError) as found:
+        b.find_move(text)
+    assert str(found.value) == f"no legal move {text!r} in {fen}"
+
+
+def test_validation_finds_a_hand_built_move():
+    b = parse_fen(MATE1_FEN)
+    mate = Move(Square.from_name("e1"), Square.from_name("e8"))
+    assert validate_line(b, [mate], 1) is True
+    assert b.find_move("e1e8") == mate
+    b = parse_fen(PROMOTE_FEN)
+    e7, e8 = Square.from_name("e7"), Square.from_name("e8")
+    for kind in (PieceKind.QUEEN, PieceKind.KNIGHT):
+        move = Move(e7, e8, kind)
+        assert validate_line(b, [move], 1) == \
+            oracles.validate_line_reference(b, [move], 1) is False
+        assert b.find_move(move.uci) == move
+    king = Move(e7, e8, PieceKind.KING)
+    for validate in (validate_line, oracles.validate_line_reference):
+        with pytest.raises(LineError, match="^illegal move 'e7e8k' in line$"):
+            validate(b, [king], 1)
 
 
 def test_solve_mate_in_one():

@@ -7,8 +7,7 @@ from cogchess.board import (
     Board, CastlingRights, Color, Piece, PieceKind, Square, emit_fen, parse_fen,
 )
 from cogchess.relations import (
-    BASE_NAMES, DEFENSIVE, OFFENSIVE, Relation, extract_relations,
-    format_relation, invert,
+    BASE_NAMES, DEFENSIVE, OFFENSIVE, Relation, extract_relations, invert,
 )
 from sampling import playout_positions
 
@@ -186,12 +185,6 @@ def test_relation_kinds():
         for r in extract_relations(b):
             assert r.name in BASE_NAMES
             assert r.kind == (DEFENSIVE if r.name == "protects" else OFFENSIVE)
-
-
-def test_format_relation():
-    b = parse_fen("4k3/3q4/2n5/1B6/8/8/8/4K3 w - - 0 1")
-    rels = {r.name: r for r in extract_relations(b) if r.name == "pins"}
-    assert format_relation(rels["pins"], b) == "(bishop@b5 pins knight@c6, queen@d7)"
 
 
 def test_relation_invariants_reject_bad_arity():
