@@ -36,8 +36,6 @@ from .relations import extract_relations  # noqa: F401
 
 CATALOG_VERSION = 1
 
-BUILTIN_NAMES = ("battery", "trapped-king", "wall-of-pawns")
-
 
 class CatalogError(ValueError):
     """Catalog document violates the schema. Names the pattern and field."""
@@ -84,21 +82,13 @@ class ChunkInstance:
         return f"{self.pattern}[{'+'.join(self.members)}]"
 
 
-def _builtin_patterns() -> list:
-    return [
-        ChunkPattern("battery", "either", builtin=True),
-        ChunkPattern("trapped-king", "either", builtin=True),
-        ChunkPattern("wall-of-pawns", "either", builtin=True),
-    ]
-
-
 def load_catalog(source=None) -> list:
     """Parse a catalog document into validated patterns.
 
     `source` may be None (built-ins only), a JSON string, or a parsed
     dict. Built-in patterns are always present and come first.
     """
-    patterns = _builtin_patterns()
+    patterns = [ChunkPattern(name, "either", builtin=True) for name in BUILTIN_NAMES]
     if source is None:
         return patterns
     doc = json.loads(source) if isinstance(source, str) else source
@@ -204,12 +194,7 @@ def recognize_chunks(board: Board, catalog, relations) -> list:
     found = []
     for pattern in catalog:
         if pattern.builtin:
-            if pattern.name == "wall-of-pawns":
-                found.extend(_match_walls(board))
-            elif pattern.name == "battery":
-                found.extend(_match_batteries(board, held))
-            elif pattern.name == "trapped-king":
-                found.extend(_match_trapped_kings(board))
+            found.extend(_BUILTIN_MATCHERS[pattern.name](board, held))
         else:
             found.extend(_match_declarative(board, pattern, held))
     found.sort(key=lambda c: (c.pattern, c.anchor.name, c.members))
@@ -222,7 +207,7 @@ def _instance(pattern: str, members, color: Color) -> ChunkInstance:
     return ChunkInstance(pattern, tuple(p.id for p in members), anchor, color)
 
 
-def _match_walls(board: Board) -> list:
+def _match_walls(board: Board, held: set) -> list:
     out = []
     for color in (Color.WHITE, Color.BLACK):
         by_file = {}
@@ -265,7 +250,7 @@ def _match_batteries(board: Board, held: set) -> list:
             and ("protects", b.id, (a.id,)) in held]
 
 
-def _match_trapped_kings(board: Board) -> list:
+def _match_trapped_kings(board: Board, held: set) -> list:
     out = []
     for king in board.pieces:
         if king.kind is not PieceKind.KING:
@@ -281,6 +266,16 @@ def _match_trapped_kings(board: Board) -> list:
             out.append(_instance("trapped-king", [king] + sorted(
                 deniers, key=lambda p: p.square.name), enemy))
     return out
+
+
+# each built-in pattern's matcher, by name; every matcher takes the board
+# and the held relations, whether it reads them or not
+_BUILTIN_MATCHERS = {
+    "battery": _match_batteries,
+    "trapped-king": _match_trapped_kings,
+    "wall-of-pawns": _match_walls,
+}
+BUILTIN_NAMES = tuple(_BUILTIN_MATCHERS)
 
 
 def _match_declarative(board: Board, pattern: ChunkPattern, held: set) -> list:

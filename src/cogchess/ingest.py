@@ -50,19 +50,11 @@ class RecordingSession:
     markers: List[Tuple[int, str, int]] = field(default_factory=list)
     pupil_stream: List[Tuple[int, float]] = field(default_factory=list)
     passthrough: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
-    line_errors: List[Tuple[int, str]] = field(default_factory=list)
-    resorted: List[str] = field(default_factory=list)  # streams sorted on ingest
-
-    def __eq__(self, other):
-        if not isinstance(other, RecordingSession):
-            return NotImplemented
-        return (self.subject_id == other.subject_id
-                and self.au_stream == other.au_stream
-                and self.skeleton_stream == other.skeleton_stream
-                and self.markers == other.markers
-                and self.pupil_stream == other.pupil_stream
-                and self.passthrough == other.passthrough)
+    # what parsing reported, not what was recorded: equality ignores these
+    warnings: List[str] = field(default_factory=list, compare=False)
+    line_errors: List[Tuple[int, str]] = field(default_factory=list, compare=False)
+    # streams sorted on ingest
+    resorted: List[str] = field(default_factory=list, compare=False)
 
 
 def _tokens(line: str) -> dict:

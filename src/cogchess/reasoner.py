@@ -16,10 +16,9 @@ situation feeds a reward back into long-term memory.
 Inside the solver a move is the kernel's `(frm, to, promo)` key: a
 situation model proposes keys, the search runs on the kernel's move
 tuples, and validation finds each move of a line by its key. `Move`s
-are built only for the lines investigation returns. The search, the
-validation and the survival check (`forced_loss_in`) read one mate rule,
-`_mover_moves`: the last mover move must be a check with no reply, and a
-stalemate never counts.
+are built only for the lines investigation returns. The search and the
+full-width validation read one mate rule, `_mover_moves`: the last mover
+move must be a check with no reply, and a stalemate never counts.
 
 Trace timestamps use a simulated clock (1 ms per searched node plus small
 fixed phase costs), never wall time, so runs are reproducible byte for
@@ -154,7 +153,6 @@ class SolveLimits:
     max_situations: int = 16
     entity_cap: int = ENTITY_CAP
     wm_capacity: int = 7
-    survival_check: bool = False
 
     def __post_init__(self):
         if self.max_total_nodes < 1:
@@ -167,12 +165,11 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
-    verdict: str  # solved / unsolved / hopeless
+    verdict: str  # solved / unsolved
     line: list
     nodes: int
     situations_investigated: int
     trace: ReasoningTrace
-    forced_loss_in: Optional[int] = None
 
 
 # -- exploration ---------------------------------------------------------------
@@ -360,7 +357,7 @@ def _mover_moves(mg, state, moves, movers_left: int):
     """(move, child, replies) for each of `moves` that mates or leaves the
     opponent a reply, in `_ordered`'s order; `replies` is empty for a mate.
 
-    This is the mate rule that search, validation and the survival check
+    This is the mate rule that the search and the full-width validation
     share: the last mover move must be a check with no reply, and a
     stalemate never counts. Which moves give check comes from the
     kernel's `checking_moves`, before any move is made. So at the last
@@ -527,20 +524,6 @@ def validate_line(board: Board, line, n: int) -> bool:
     return _proves(mg, start, n, tuple(script))
 
 
-def forced_loss_in(board: Board, n: int) -> Optional[int]:
-    """Smallest k <= n such that the opponent mates the mover in k of the
-    opponent's own moves against any defense, or None."""
-    mg = _board._mg
-    state = _state(board)
-    moves = mg.legal_moves(*state[:4])
-    if not moves:
-        return None
-    for k in range(1, n + 1):
-        if all(_proves(mg, _apply(mg, state, m), k) for m in moves):
-            return k
-    return None
-
-
 # -- the solver ----------------------------------------------------------------
 
 
@@ -653,13 +636,7 @@ def solve(board: Board, n: int, profile: PlayerProfile,
                 return SolveResult("solved", ucis, nodes_total, investigated, trace)
         ltm.update(sig, -1.0)
 
-    loss = None
-    verdict = "unsolved"
-    if limits.survival_check:
-        loss = forced_loss_in(board, n)
-        if loss is not None:
-            verdict = "hopeless"
     trace.add(clock, "exploration", "exhausted", None,
-              {"verdict": verdict, "nodes": nodes_total,
-               "situations": investigated, "forced_loss_in": loss})
-    return SolveResult(verdict, [], nodes_total, investigated, trace, loss)
+              {"verdict": "unsolved", "nodes": nodes_total,
+               "situations": investigated})
+    return SolveResult("unsolved", [], nodes_total, investigated, trace)

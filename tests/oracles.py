@@ -10,7 +10,7 @@ Keep it slow and obvious; it is the measuring stick, not the product.
 `enumerate_situations_reference`, `situation_signature_reference`,
 `investigate_reference`,
 `match_batteries_reference`, `match_trapped_kings_reference`,
-`validate_line_reference`, `forced_loss_in_reference`,
+`validate_line_reference`, `_proves_reference`,
 `_ordered_reference`, `checking_moves_reference` and
 `apply_move_reference` are the exceptions:
 the solver's exploration step in its earlier, exhaustive form (build
@@ -19,11 +19,11 @@ every subset, sort, truncate) with its own situation model
 proposed moves as `Move`s), the signature as it was when it formatted
 a whole situation model, its investigation step as it was before it
 kept a table of OR-node results, the battery and trapped-king matchers as
-they were before they read the relation set, the validation and survival
-check as they were before they shared the search's mate rule (each with
-its own copy of that rule), and the move ordering and check test as they
-were before the kernel found checks without making the moves (the
-search and proof references here order their moves with
+they were before they read the relation set, the validation and its
+full-width proof as they were before they shared the search's mate rule
+(with their own copy of that rule), and the move ordering and check
+test as they were before the kernel found checks without making the
+moves (the search and proof references here order their moves with
 `_ordered_reference`), and the board's piece bookkeeping as it was
 before it followed the kernel's successor squares (with its own rules
 for the castling rook and the en-passant victim), each kept as the
@@ -773,20 +773,6 @@ def validate_line_reference(board: Board, line, n: int) -> bool:
         return True
 
     return follow(start, ucis, n)
-
-
-def forced_loss_in_reference(board: Board, n: int) -> Optional[int]:
-    """Smallest k <= n such that the opponent mates the mover in k of the
-    opponent's own moves against any defense, or None."""
-    mg = _board._mg
-    state = _state(board)
-    moves = mg.legal_moves(*state[:4])
-    if not moves:
-        return None
-    for k in range(1, n + 1):
-        if all(_proves_reference(mg, _apply(mg, state, m), k) for m in moves):
-            return k
-    return None
 
 
 def apply_move_reference(board: Board, t) -> Board:

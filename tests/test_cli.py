@@ -164,17 +164,22 @@ M3_004 = {"id": "m3-004", "fen": "k7/8/8/8/2K5/8/1Q6/8 w - - 0 1", "mate_in": 3}
     (0.9, ["m3-004", "solved", "c4c5 a8a7 c5c6 a7a6 b2a1", "1197", "2"], 2),
 ])
 def test_solve_stops_selecting_at_time_limit(tmp_path, limit_s, row, selected):
-    """No situation is selected once the simulated clock reaches the limit."""
+    """No situation is selected once the simulated clock reaches the limit.
+    An unsolved ask ends in an `exhausted` event holding exactly its
+    verdict, nodes and situations."""
     puzzles = tmp_path / "p.jsonl"
     puzzles.write_text(json.dumps(dict(M3_004, time_limit_s=limit_s)) + "\n")
     out = tmp_path / "o"
     assert main(["solve", "--puzzles", str(puzzles), "--seed", "7",
                  "--out", str(out)]) == 0
     assert (out / "verdicts.tsv").read_text().splitlines()[1].split("\t") == row
-    events = [json.loads(line)["event"] for line in
+    events = [json.loads(line) for line in
               (out / "traces" / "m3-004.trace.jsonl").read_text().splitlines()[1:]]
-    assert events.count("selected") == selected
-    assert events[-1] == ("verdict" if row[1] == "solved" else "exhausted")
+    assert [e["event"] for e in events].count("selected") == selected
+    assert events[-1]["event"] == ("verdict" if row[1] == "solved" else "exhausted")
+    if row[1] == "unsolved":
+        assert events[-1]["data"] == {"verdict": "unsolved", "nodes": int(row[3]),
+                                      "situations": selected}
 
 
 @pytest.mark.parametrize("value", [0, -5, 0.0, "120", True, False, None,

@@ -11,9 +11,13 @@ constraints. A change that is meant to alter search behaviour
 regenerates both files with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints, for each file, every ask whose row it changed and the
+columns that changed, as a failing test does.
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -66,13 +70,33 @@ def _render(rows) -> str:
     return "".join("\t".join(r) + "\n" for r in [COLUMNS] + rows)
 
 
+def _differences(rows, golden: Path) -> list:
+    """One line for each ask whose row differs from `golden`'s: its id and
+    depth, then the columns that changed, or that the row was added or
+    dropped."""
+    want = [tuple(line.split("\t")) for line in golden.read_text().splitlines()[1:]]
+    out = []
+    for w, g in itertools.zip_longest(want, rows):
+        if w == g:
+            continue
+        if w is None or g is None:
+            row, change = (g, "added") if w is None else (w, "dropped")
+        else:
+            row, change = g, " ".join(c for c, a, b in zip(COLUMNS, w, g) if a != b)
+        out.append(f"{row[0]} mate_in {row[1]}: {change}")
+    return out
+
+
+def _summary(differences, golden: Path) -> str:
+    return "".join([f"{golden.name}: {len(differences)} asks differ"]
+                   + [f"\n  {d}" for d in differences])
+
+
 def _assert_matches(rows, golden: Path, n_rows: int) -> None:
-    got = _render(rows).splitlines()
-    want = golden.read_text().splitlines()
-    assert got[0] == want[0]
-    diff = [(w, g) for w, g in zip(want[1:], got[1:]) if w != g]
-    assert not diff, f"{len(diff)} asks differ, first: {diff[0]}"
-    assert len(got) == len(want) == n_rows + 1
+    assert golden.read_text().splitlines()[0] == "\t".join(COLUMNS)
+    differences = _differences(rows, golden)
+    assert not differences, _summary(differences, golden)
+    assert len(rows) == n_rows
 
 
 def test_desk40_matches_golden(tmp_path):
@@ -90,5 +114,8 @@ if __name__ == "__main__":
         sys.exit("usage: test_golden.py --write")
     for golden, rows in ((GOLDEN, golden_rows), (CATALOG_GOLDEN, catalog_rows)):
         with tempfile.TemporaryDirectory() as tmp:
-            golden.write_text(_render(rows(Path(tmp))))
+            new = rows(Path(tmp))
+        differences = _differences(new, golden)
+        golden.write_text(_render(new))
         print(f"wrote {golden}")
+        print(_summary(differences, golden))

@@ -1,5 +1,7 @@
 """Recording parsing, canonical serialization, and task segmentation."""
 
+from dataclasses import replace
+
 import pytest
 
 from cogchess.affect import analyze_session, load_au_table, task_stats
@@ -146,6 +148,12 @@ def test_round_trip_identity():
     again = parse_recording(text)
     assert again == session
     assert serialize_recording(again) == text
+    # equality is the recording's: what parsing reported is not compared
+    reported = replace(again, warnings=["w"], line_errors=[(2, "e")],
+                       resorted=["au_stream"])
+    assert reported == session
+    assert replace(again, passthrough=session.passthrough + ["x"]) != session
+    assert session.__eq__(text) is NotImplemented
 
 
 def test_segment_single_task():

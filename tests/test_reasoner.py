@@ -19,7 +19,7 @@ from cogchess.chunks import load_catalog
 from cogchess.memory import EmotionTag, LongTermMemory
 from cogchess.reasoner import (
     MAX_CANDIDATES, PROFILES, LineError, PlayerProfile, SolveLimits,
-    effort_budget, enumerate_situations, forced_loss_in, investigate,
+    effort_budget, enumerate_situations, investigate,
     perceive, score_situation, solve, validate_line,
 )
 
@@ -375,11 +375,22 @@ def _line_variants(board, line):
         pos = pos.apply_move(played)
 
 
-def test_validation_and_survival_match_reference():
-    """`validate_line` and `forced_loss_in` read the search's mate rule;
-    their earlier forms, each with its own copy of the rule, must agree
-    on every desk-40 solved line and its one-ply variants, and on the
-    survival of every first move of each desk-40 board."""
+def _proves_as_reference(mg, state, k: int, where) -> bool:
+    """`_proves` of `state`, asserted equal to `_proves_reference`."""
+    proved = reasoner._proves(mg, state, k)
+    assert proved == oracles._proves_reference(mg, state, k), where
+    return proved
+
+
+def test_validation_and_proof_match_reference():
+    """`validate_line` and the full-width proof `_proves` read the
+    search's mate rule; their earlier forms, each with its own copy of
+    the rule, must agree on every desk-40 solved line and its one-ply
+    variants, and on proofs of the opponent's mate after each first move
+    of each desk-40 board: in k = 1, 2, ... opponent moves after each
+    mover reply in turn, up to the first reply that does not prove and
+    up to the first k that every reply proves."""
+    mg = _board._mg
     for rec in DESK:
         b, n = parse_fen(rec["fen"]), rec["mate_in"]
         line = solve(b, n, PROFILES["neutral"]).line
@@ -388,9 +399,13 @@ def test_validation_and_survival_match_reference():
             assert _result_or_error(validate_line, b, variant, n) == _result_or_error(
                 oracles.validate_line_reference, b, variant, n), (rec["id"], variant)
         for m in b.legal_moves():
-            child = b.apply_move(m)
-            assert forced_loss_in(child, n - 1) == \
-                oracles.forced_loss_in_reference(child, n - 1), (rec["id"], m.uci)
+            child = reasoner._state(b.apply_move(m))
+            replies = mg.legal_moves(*child[:4])
+            for k in range(1, n):
+                if all(_proves_as_reference(mg, reasoner._apply(mg, child, r), k,
+                                            (rec["id"], m.uci, k))
+                       for r in replies):
+                    break
 
 
 # (board, text): each text spells no legal move of its board
@@ -560,21 +575,6 @@ def test_solve_limits_reject_bad_caps(field, value, message):
 def test_solve_limits_reject_empty_budget(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
         SolveLimits(**{field: 0})
-
-
-def test_forced_loss_detection():
-    # black to move, white mates in 1 whatever black plays (ladder net)
-    b = parse_fen("7k/R7/8/8/8/8/8/4R1K1 b - - 0 1")
-    assert b.legal_moves()  # not already mate or stalemate
-    assert forced_loss_in(b, 2) == 1
-
-
-def test_solve_survival_verdict():
-    b = parse_fen("7k/R7/8/8/8/8/8/4R1K1 b - - 0 1")
-    limits = SolveLimits(survival_check=True)
-    result = solve(b, 1, PROFILES["defensive"], limits=limits, seed=2)
-    assert result.verdict == "hopeless"
-    assert result.forced_loss_in == 1
 
 
 def test_solve_extracts_relations_once(monkeypatch):
