@@ -126,9 +126,19 @@ def load_au_table(source=None) -> dict:
     for key in ("emotions", "positive", "negative", "arousal"):
         if key not in table:
             raise ValueError(f"mapping table missing {key!r}")
-    if not (isinstance(table["emotions"], dict)
-            and set(EMOTION_LABELS[:-1]) <= table["emotions"].keys()):
+    emotions = table["emotions"]
+    if not (isinstance(emotions, dict) and set(EMOTION_LABELS[:-1]) <= emotions.keys()):
         raise ValueError("mapping table emotions must map every emotion label")
+    for label in emotions:
+        if label not in EMOTION_LABELS[:-1]:
+            raise ValueError(f"mapping table emotions name unknown label {label!r}")
+    named_sets = [(key, table[key]) for key in ("positive", "negative", "arousal")]
+    named_sets += [(f"emotions.{label}", aus) for label, aus in emotions.items()]
+    for name, aus in named_sets:
+        if not (isinstance(aus, list) and all(
+                isinstance(au, int) and not isinstance(au, bool) for au in aus)):
+            raise ValueError(f"mapping table {name} must be a list of AU numbers, "
+                             f"got {aus!r}")
     return table
 
 

@@ -36,6 +36,11 @@ from .relations import extract_relations  # noqa: F401
 
 CATALOG_VERSION = 1
 
+# The keys the loader reads; any other key is rejected, not ignored.
+DOCUMENT_KEYS = ("catalog_version", "patterns")
+PATTERN_KEYS = ("name", "color_role", "slots", "relations", "min_pieces")
+SLOT_KEYS = ("kind", "offset")
+
 
 class CatalogError(ValueError):
     """Catalog document violates the schema. Names the pattern and field."""
@@ -97,6 +102,7 @@ def load_catalog(source=None) -> list:
     if doc.get("catalog_version") != CATALOG_VERSION:
         raise CatalogError("<document>", "catalog_version",
                            f"expected {CATALOG_VERSION}, got {doc.get('catalog_version')!r}")
+    _check_keys(doc, DOCUMENT_KEYS, "<document>", "")
     encoded = doc.get("patterns", [])
     if not isinstance(encoded, list):
         raise CatalogError("<document>", "patterns", "must be a list")
@@ -115,10 +121,18 @@ def load_catalog(source=None) -> list:
 _KIND_BY_NAME = {k.value: k for k in PieceKind}
 
 
+def _check_keys(enc: dict, known, pattern: str, where: str) -> None:
+    """CatalogError naming the first key of `enc` not among `known`."""
+    for key in enc:
+        if key not in known:
+            raise CatalogError(pattern, f"{where}{key}", "unknown key")
+
+
 def _parse_pattern(enc: dict) -> ChunkPattern:
     name = enc.get("name")
     if not isinstance(name, str) or not name:
         raise CatalogError(str(name), "name", "missing or empty")
+    _check_keys(enc, PATTERN_KEYS, name, "")
     role = enc.get("color_role", "own")
     if role not in ("own", "enemy", "either"):
         raise CatalogError(name, "color_role", f"bad value {role!r}")
@@ -129,6 +143,7 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
     for i, s in enumerate(raw_slots):
         if not isinstance(s, dict):
             raise CatalogError(name, f"slots[{i}]", "slot must be a JSON object")
+        _check_keys(s, SLOT_KEYS, name, f"slots[{i}].")
         kinds = s.get("kind", "any")
         if kinds == "any":
             kinds = list(_KIND_BY_NAME)

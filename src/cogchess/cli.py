@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -33,6 +34,24 @@ STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
                  "mean_valence", "mean_arousal", "mean_pupil_mm")
 
 
+class CliError(Exception):
+    """Ends a run: `main` prints the message on stderr and returns `code`."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _fails(code: int, prefix: str = ""):
+    """An OSError or ValueError raised inside ends the run with
+    `prefix` and its message, and exit code `code`."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{prefix}{exc}", code) from exc
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -49,15 +68,13 @@ def _write_tsv(path: Path, columns, rows) -> None:
 
 def _side_file(path, what: str, load) -> tuple:
     """`(text, load(text))` of the side file at `path`, `(None, None)` when
-    no path is given; ValueError naming the file when it cannot be read or
-    `load` rejects it."""
+    no path is given; the run ends (exit 2) naming the file when it cannot
+    be read or `load` rejects it."""
     if path is None:
         return None, None
-    try:
+    with _fails(2, f"bad {what} file {path}: "):
         text = Path(path).read_text()
         return text, load(text)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _config(text: str) -> dict:
@@ -65,27 +82,6 @@ def _config(text: str) -> dict:
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     return config
-
-
-# The config keys each command merges with its flags of the same name.
-SOLVE_KEYS = ("puzzles", "out", "profile", "seed", "wm_capacity", "entity_cap",
-              "max_nodes", "base_budget", "jobs")
-ANALYZE_KEYS = ("recording", "out")
-
-
-def _check_config_keys(config: dict, known) -> None:
-    """ValueError naming the first key of `config` not among `known`."""
-    for key in config:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-
-
-def _merged(args, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
 
 
 def _integer(key: str, value) -> int:
@@ -102,17 +98,42 @@ def _integer(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _int_option(args, config: dict, key: str, default) -> int:
-    return _integer(key, _merged(args, config, key, default))
-
-
-def _str_option(args, config: dict, key: str, default) -> str:
-    """The merged value of `key`, or ValueError naming it unless it is a
-    string (a flag always is; a config value need not be)."""
-    value = _merged(args, config, key, default)
+def _string(key: str, value) -> str:
+    """`value`, or ValueError naming `key` unless it is a string (a flag
+    always is; a config value need not be)."""
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
     return value
+
+
+# Each command's options as (key, check, default) rows. The key is also a
+# config key and the flag's `dest`; the flag wins over the config file,
+# which wins over the default.
+SOLVE_OPTIONS = (
+    ("puzzles", _string, ""),
+    ("out", _string, "out"),
+    ("profile", _string, "neutral"),
+    ("seed", _integer, None),
+    ("wm_capacity", _integer, SolveLimits.wm_capacity),
+    ("entity_cap", _integer, SolveLimits.entity_cap),
+    ("max_nodes", _integer, SolveLimits.max_total_nodes),
+    ("base_budget", _integer, PlayerProfile.base_budget),
+    ("jobs", _integer, 1),
+)
+ANALYZE_OPTIONS = (("recording", _string, ""), ("out", _string, "out"))
+
+
+def _options(table, args, config: dict) -> dict:
+    """Each row's key -> its checked value; ValueError naming the first
+    value a check rejects, else the first config key that no row has."""
+    values = {}
+    for key, check, default in table:
+        flag = getattr(args, key)
+        values[key] = check(key, config.get(key, default) if flag is None else flag)
+    for key in config:
+        if key not in values:
+            raise ValueError(f"unknown config key {key!r}")
+    return values
 
 
 def _time_limit(rec: dict):
@@ -129,8 +150,10 @@ def _time_limit(rec: dict):
 
 def _load_puzzles(path: Path):
     """The records of a JSONL puzzle file, each checked as `solve` would
-    check it; ValueError naming the first bad line."""
+    check it; ValueError naming the first bad line. An id names the
+    puzzle's trace file, so it must be a plain file name used once."""
     puzzles = []
+    first_line = {}  # id -> the line that used it
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -142,12 +165,19 @@ def _load_puzzles(path: Path):
                 raise ValueError(f"fen must be a string, got {rec['fen']!r}")
             mate_in = _integer("mate_in", rec["mate_in"])
             check_mate_depth(mate_in)
+            puzzle_id = str(rec["id"])
+            if puzzle_id in ("", ".", "..") or "/" in puzzle_id or "\0" in puzzle_id:
+                raise ValueError(f"id must be a plain file name, got {puzzle_id!r}")
             puzzles.append({
-                "id": str(rec["id"]),
+                "id": puzzle_id,
                 "board": parse_fen(rec["fen"]),
                 "mate_in": mate_in,
                 "time_limit_s": _time_limit(rec),
             })
+            if puzzle_id in first_line:
+                raise ValueError(f"id {puzzle_id!r} is already used on line "
+                                 f"{first_line[puzzle_id]}")
+            first_line[puzzle_id] = lineno
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{lineno}: bad puzzle record: {exc}") from exc
     return puzzles
@@ -155,9 +185,8 @@ def _load_puzzles(path: Path):
 
 def _solve_one(payload):
     """Solve a single puzzle; top-level so --jobs can pickle it."""
-    puzzle, profile, limits, seed, ltm_text, catalog_text = payload
+    puzzle, profile, limits, seed, ltm_text, catalog = payload
     ltm = LongTermMemory.load(ltm_text) if ltm_text else LongTermMemory()
-    catalog = load_catalog(catalog_text) if catalog_text else load_catalog()
     limit_s = puzzle["time_limit_s"]
     result = solve(puzzle["board"], puzzle["mate_in"], profile, ltm=ltm,
                    catalog=catalog, limits=limits, seed=seed,
@@ -168,62 +197,38 @@ def _solve_one(payload):
     return puzzle["id"], row, result.trace.to_jsonl(), result.verdict
 
 
-def run_solve(args) -> int:
-    try:  # each side file is read and checked once, before any solve
-        config = _side_file(args.config, "config", _config)[1] or {}
-        ltm_text = _side_file(args.ltm, "ltm", LongTermMemory.load)[0]
-        catalog_text = _side_file(args.catalog, "catalog", load_catalog)[0]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    seed = _merged(args, config, "seed", None)
-    if seed is None:
-        print("solve requires --seed for reproducibility", file=sys.stderr)
-        return 2
-    try:
-        puzzles_path = Path(_str_option(args, config, "puzzles", ""))
-        out_dir = Path(_str_option(args, config, "out", "out"))
-        profile = _str_option(args, config, "profile", "neutral")
-    except ValueError as exc:
-        print(f"invalid solve option: {exc}", file=sys.stderr)
-        return 2
+def run_solve(args) -> None:
+    # each side file is read and checked once, before any solve
+    config = _side_file(args.config, "config", _config)[1] or {}
+    ltm_text = _side_file(args.ltm, "ltm", LongTermMemory.load)[0]
+    catalog = _side_file(args.catalog, "catalog", load_catalog)[1] or load_catalog()
+    if args.seed is None and config.get("seed") is None:
+        raise CliError("solve requires --seed for reproducibility", 2)
+    with _fails(2, "invalid solve option: "):  # the checks each solve would make
+        opts = _options(SOLVE_OPTIONS, args, config)
+        if opts["profile"] not in PROFILES:
+            raise CliError(f"unknown profile {opts['profile']!r}", 2)
+        if opts["jobs"] < 1:
+            raise ValueError(f"jobs must be >= 1, got {opts['jobs']}")
+        player = PlayerProfile(opts["profile"], base_budget=opts["base_budget"])
+        limits = SolveLimits(max_total_nodes=opts["max_nodes"],
+                             entity_cap=opts["entity_cap"],
+                             wm_capacity=opts["wm_capacity"])
+    puzzles_path = Path(opts["puzzles"])
     if not puzzles_path.is_file():
-        print(f"puzzle file not found: {puzzles_path}", file=sys.stderr)
-        return 1
-    if profile not in PROFILES:
-        print(f"unknown profile {profile!r}", file=sys.stderr)
-        return 2
-    try:  # the checks each solve would make, before any solve starts
-        seed = _int_option(args, config, "seed", None)
-        wm_capacity = _int_option(args, config, "wm_capacity", 7)
-        entity_cap = _int_option(args, config, "entity_cap", 4)
-        max_nodes = _int_option(args, config, "max_nodes", 50_000)
-        base_budget = _int_option(args, config, "base_budget", 3000)
-        jobs = _int_option(args, config, "jobs", 1)
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        player = PlayerProfile(profile, base_budget=base_budget)
-        limits = SolveLimits(max_total_nodes=max_nodes, entity_cap=entity_cap,
-                             wm_capacity=wm_capacity)
-        _check_config_keys(config, SOLVE_KEYS)
-    except ValueError as exc:
-        print(f"invalid solve option: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        raise CliError(f"puzzle file not found: {puzzles_path}", 1)
+    with _fails(2):
         puzzles = _load_puzzles(puzzles_path)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
 
-    payloads = [(p, player, limits, seed, ltm_text, catalog_text)
-                for p in puzzles]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    seed = opts["seed"]
+    payloads = [(p, player, limits, seed, ltm_text, catalog) for p in puzzles]
+    if opts["jobs"] > 1:
+        with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             results = list(pool.map(_solve_one, payloads))
     else:
         results = [_solve_one(p) for p in payloads]
 
+    out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
@@ -242,36 +247,24 @@ def run_solve(args) -> int:
     (out_dir / "summary.txt").write_text(summary)
     print(f"solved {solved}/{len(rows)} puzzles, {total_nodes} nodes "
           f"-> {out_dir}")
-    return 0
 
 
-def run_analyze(args) -> int:
-    try:
-        config = _side_file(args.config, "config", _config)[1] or {}
-        table = _side_file(args.au_table, "AU table", load_au_table)[1] \
-            or load_au_table()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        rec_path = Path(_str_option(args, config, "recording", ""))
-        out_dir = Path(_str_option(args, config, "out", "out"))
-        _check_config_keys(config, ANALYZE_KEYS)
-    except ValueError as exc:
-        print(f"invalid analyze option: {exc}", file=sys.stderr)
-        return 2
+def run_analyze(args) -> None:
+    config = _side_file(args.config, "config", _config)[1] or {}
+    table = _side_file(args.au_table, "AU table", load_au_table)[1] \
+        or load_au_table()
+    with _fails(2, "invalid analyze option: "):
+        opts = _options(ANALYZE_OPTIONS, args, config)
+    rec_path = Path(opts["recording"])
     if not rec_path.is_file():
-        print(f"recording file not found: {rec_path}", file=sys.stderr)
-        return 1
+        raise CliError(f"recording file not found: {rec_path}", 1)
 
-    try:  # everything is computed before writing: no partial outputs
+    with _fails(1):  # everything is computed before writing: no partial outputs
         session = parse_recording(rec_path.read_text())
         stats, au_rows, skeleton_rows, touches, quality = \
             analyze_session(session, table)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
 
+    out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_tsv(out_dir / "task_stats.tsv", STATS_COLUMNS, [
         (s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms, s.self_touch_count,
@@ -290,7 +283,6 @@ def run_analyze(args) -> int:
     for w in session.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"{len(stats)} tasks, {len(touches)} self-touch events -> {out_dir}")
-    return 0
 
 
 EVENT_KEYS = ("t", "phase", "event", "episode", "data")
@@ -317,16 +309,12 @@ def _trace_records(lines) -> list:
     return records
 
 
-def run_trace(args) -> int:
+def run_trace(args) -> None:
     path = Path(args.trace_file)
     if not path.is_file():
-        print(f"trace file not found: {path}", file=sys.stderr)
-        return 1
-    try:
+        raise CliError(f"trace file not found: {path}", 1)
+    with _fails(1, f"bad trace file {path}: "):
         header, *events = _trace_records(path.read_text().splitlines())
-    except ValueError as exc:
-        print(f"bad trace file {path}: {exc}", file=sys.stderr)
-        return 1
     print(f"puzzle={header.get('puzzle')} fen={header.get('fen')!r} "
           f"mate_in={header.get('mate_in')} profile={header.get('profile')}")
     for e in events:
@@ -335,7 +323,6 @@ def run_trace(args) -> int:
                   if not isinstance(v, (list, dict))}
         print(f"{e['t']!s:>8}ms  ep{episode!s:>2}  {e['phase']!s:<13} "
               f"{e['event']!s:<15} {detail}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,22 +330,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cogchess",
         description="Chunk-based mate solver and multimodal affect analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
+    default = {key: value for key, _, value in SOLVE_OPTIONS}
 
     ps = sub.add_parser("solve", help="solve a Mate-in-N puzzle file")
     ps.add_argument("--puzzles", help="JSONL puzzle file")
     ps.add_argument("--profile", choices=sorted(PROFILES))
     ps.add_argument("--wm-capacity", dest="wm_capacity", type=int,
                     help="entities orientation loads into working memory, "
-                         "4..9 (default 7)")
+                         f"4..9 (default {default['wm_capacity']})")
     ps.add_argument("--entity-cap", dest="entity_cap", type=int,
-                    help="entities per situation model, 2..4 (default 4)")
+                    help="entities per situation model, 2..4 "
+                         f"(default {default['entity_cap']})")
     ps.add_argument("--seed", type=int, help="required; recorded in every trace")
     ps.add_argument("--max-nodes", dest="max_nodes", type=int,
-                    help="nodes searched per puzzle (default 50000)")
+                    help=f"nodes searched per puzzle (default {default['max_nodes']})")
     ps.add_argument("--base-budget", dest="base_budget", type=int,
-                    help="node budget of one situation (default 3000)")
-    ps.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    ps.add_argument("--out", help="output directory (default out)")
+                    help="node budget of one situation "
+                         f"(default {default['base_budget']})")
+    ps.add_argument("--jobs", type=int,
+                    help=f"worker processes (default {default['jobs']})")
+    ps.add_argument("--out", help=f"output directory (default {default['out']})")
     ps.add_argument("--config", help="JSON config file; flags win on conflict")
     ps.add_argument("--ltm", help="long-term memory snapshot to load")
     ps.add_argument("--catalog", help="chunk catalog JSON file")
@@ -379,7 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except CliError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -104,11 +104,29 @@ def test_catalog_accepts_min_pieces_in_range():
      ("x", "slots[0].kind")),
     ([{"name": "x", "slots": [{"kind": "rook"}, {"kind": "rook", "offset": [0, 1]}],
        "relations": 3}], ("x", "relations")),
+    # a misspelled key would drop its constraint or role: rejected by name
+    ([{"name": "p", "slots": [{"kind": "pawn"}, {"kind": "pawn", "offset": [1, 1]}],
+       "relation": [[0, "protects", 1]]}], ("p", "relation")),
+    ([{"name": "p", "colour_role": "enemy",
+       "slots": [{"kind": "pawn"}, {"kind": "pawn", "offset": [1, 1]}]}],
+     ("p", "colour_role")),
+    ([{"name": "p", "slots": [{"kinds": "pawn"}, {"kind": "pawn", "offset": [1, 1]}]}],
+     ("p", "slots[0].kinds")),
+    ([{"name": "p", "slots": [{"kind": "pawn"}, {"kind": "pawn", "ofset": [1, 1]}]}],
+     ("p", "slots[1].ofset")),
 ])
 def test_catalog_rejects_malformed_entries(patterns, where):
     with pytest.raises(CatalogError) as e:
         load_catalog({"catalog_version": 1, "patterns": patterns})
     assert (e.value.pattern, e.value.field) == where
+
+
+def test_catalog_rejects_unknown_document_key():
+    doc = dict(FIANCHETTO, pattern=[])
+    with pytest.raises(CatalogError) as e:
+        load_catalog(json.dumps(doc))
+    assert (e.value.pattern, e.value.field) == ("<document>", "pattern")
+    assert str(e.value) == "pattern '<document>', field 'pattern': unknown key"
 
 
 def test_wall_of_pawns_basic():

@@ -13,6 +13,7 @@ from fixtures_affect import emotion_change_stream, skeleton_frame, touch_stream
 from genrecording import BAD_LINES, PLANTED, make_recording
 
 DATA = Path(__file__).parent / "data"
+AU_TABLE = affect.load_au_table()
 
 
 @pytest.fixture()
@@ -210,6 +211,15 @@ def test_solve_rejects_bad_time_limit(tmp_path, capsys, value):
     (dict(M3_004, fen="4k3/8/Q7/1P6/8/8/8/4K3 w - a6 0 1"),
      "bad-en-passant: en-passant square a6 is occupied"),
     (dict(M3_004, fen=None), "fen must be a string, got None"),
+    # an id names its trace file under traces/, once
+    (dict(M3_004, id=""), "id must be a plain file name, got ''"),
+    (dict(M3_004, id="."), "id must be a plain file name, got '.'"),
+    (dict(M3_004, id=".."), "id must be a plain file name, got '..'"),
+    (dict(M3_004, id="a/b"), "id must be a plain file name, got 'a/b'"),
+    (dict(M3_004, id="../escaped"),
+     "id must be a plain file name, got '../escaped'"),
+    (dict(M3_004, id="a\0b"), "id must be a plain file name, got 'a\\x00b'"),
+    (M3_004, "id 'm3-004' is already used on line 1"),
 ])
 def test_solve_rejects_bad_puzzle_record(tmp_path, capsys, record, reason):
     """Every record is checked before any puzzle is solved."""
@@ -264,6 +274,26 @@ def test_solve_rejects_bad_side_file(puzzle_file, tmp_path, capsys, monkeypatch,
 ] + [
     ("--au-table", "AU table", '{"table_version": 2}', "unsupported table_version 2"),
 ] + [
+    pytest.param("--au-table", "AU table", json.dumps(dict(AU_TABLE, **change)),
+                 message, id=f"au-table-{name}")
+    for name, change, message in [
+        ("strings", {"positive": ["6", "12"]},
+         "mapping table positive must be a list of AU numbers, got ['6', '12']"),
+        ("one-string", {"positive": "6,12"},
+         "mapping table positive must be a list of AU numbers, got '6,12'"),
+        ("bool", {"negative": [1, True]},
+         "mapping table negative must be a list of AU numbers, got [1, True]"),
+        ("float", {"arousal": [1.0, 2]},
+         "mapping table arousal must be a list of AU numbers, got [1.0, 2]"),
+        ("emotion-set", {"emotions": dict(AU_TABLE["emotions"], happiness=[6, "12"])},
+         "mapping table emotions.happiness must be a list of AU numbers, "
+         "got [6, '12']"),
+        ("unknown-label", {"emotions": dict(AU_TABLE["emotions"], contempt=[14])},
+         "mapping table emotions name unknown label 'contempt'"),
+        ("neutral-label", {"emotions": dict(AU_TABLE["emotions"], neutral=[])},
+         "mapping table emotions name unknown label 'neutral'"),
+    ]
+] + [
     ("--config", "config", text, message) for text, message in SIDE_FILE_CASES
 ])
 def test_analyze_rejects_bad_side_file(recording_file, tmp_path, capsys,
@@ -317,6 +347,55 @@ def test_config_file_with_flag_override(puzzle_file, tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "verdicts.tsv").is_file()
     assert not (tmp_path / "from_config").exists()
+
+
+# a value of each option that is not its default
+OPTION_VALUES = {"profile": "aggressive", "seed": 5, "wm_capacity": 4,
+                 "entity_cap": 2, "max_nodes": 40, "base_budget": 10, "jobs": 2}
+# the options whose value shows in the output bytes of the two test puzzles
+# (`seed` does too, but no run may leave it out)
+SHOWN = ("profile", "wm_capacity", "entity_cap", "max_nodes", "base_budget")
+
+
+def _output_of(tmp_path, name, command, inputs, key=None, in_config=False):
+    """Every output file's bytes of one run given `inputs` as flags, and
+    `key` (if any) as a flag or in a config file, with its `OPTION_VALUES`
+    value or, lacking one, its value among the flags."""
+    out = tmp_path / name
+    flags = dict(inputs, out=out)
+    if key is not None:
+        given = flags.pop(key, None)
+        value = OPTION_VALUES.get(key, str(given))
+        if in_config:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({key: value}))
+            flags["config"] = str(config)
+        else:
+            flags[key] = value
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [f"--{flag.replace('_', '-')}", str(value)]
+    assert main(argv) == 0
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, key", [
+    ("solve", key) for key, _, _ in cli.SOLVE_OPTIONS
+] + [
+    ("analyze", key) for key, _, _ in cli.ANALYZE_OPTIONS
+])
+def test_config_key_does_what_its_flag_does(puzzle_file, recording_file, tmp_path,
+                                            command, key):
+    """Each option's value in a config file gives the bytes its flag gives,
+    and an option the outputs show gives other bytes than its default."""
+    inputs = {"solve": {"puzzles": puzzle_file, "seed": 3},
+              "analyze": {"recording": recording_file}}[command]
+    by_flag = _output_of(tmp_path, "flag", command, inputs, key)
+    by_config = _output_of(tmp_path, "config", command, inputs, key, in_config=True)
+    assert by_flag and by_config == by_flag
+    if key in SHOWN:
+        assert _output_of(tmp_path, "default", command, inputs) != by_flag
 
 
 def test_analyze_writes_stats(recording_file, tmp_path):
