@@ -720,15 +720,6 @@ static PyObject *square_list(Mask set)
     static PyObject *py_##name(PyObject *Py_UNUSED(self), PyObject *const *args, \
                                Py_ssize_t nargs)
 
-ENTRY(attacked)
-{
-    unsigned char sq[64];
-    int a[3];
-    if (parse(args, nargs, "attacked", "sqb", sq, a) < 0)
-        return NULL;
-    return PyBool_FromLong(attacked(sq, a[1], a[2]));
-}
-
 ENTRY(attackers)
 {
     unsigned char sq[64];
@@ -860,7 +851,6 @@ ENTRY(perft)
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    METHOD(attacked, "True if `target` is attacked by at least one piece of the given color."),
     METHOD(attackers, "Sorted squares of all pieces of the given color attacking `target`."),
     METHOD(attack_targets, "Sorted squares attacked by the piece at `frm` (pawn capture squares only)."),
     METHOD(in_check, "Whether the king of the given color is attacked."),

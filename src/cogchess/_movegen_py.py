@@ -144,17 +144,9 @@ def _check_move(name, first, white, frm, to, promo, flags):
 # arguments.
 
 
-def attacked(sq, target, by_white):
-    """True if `target` is attacked by at least one piece of the given color."""
-    if len(sq) != 64 or sq.translate(None, _CODES):
-        raise _squares_error("attacked", sq)
-    if not 0 <= _index(target) <= 63:
-        raise _square_error("attacked", target)
-    return _attacked(sq, target, by_white)
-
-
 def _attacked(sq, target, by_white):
-    """`attacked` without the argument checks. It never reads `sq[target]`."""
+    """True if `target` is attacked by at least one piece of the given color.
+    It never reads `sq[target]`."""
     if by_white:
         pw, kn, kg, rk, bi, qu, pawns = WP, WN, WK, WR, WB, WQ, _WP_FROM
     else:
@@ -350,7 +342,7 @@ def _make(arr, stm, frm, to, promo, flags):
 
 
 _CASTLE_FLAGS = FLAG_CASTLE_K | FLAG_CASTLE_Q
-# Moves that are always made on a copy and tested with `attacked`: en
+# Moves that are always made on a copy and tested with `_attacked`: en
 # passant empties two squares of one rank, and castling moves the king.
 _FULL_TEST_FLAGS = FLAG_EP | _CASTLE_FLAGS
 
@@ -393,7 +385,7 @@ def _pins_and_evasions(sq, king, white):
                                 checkers += 1
                                 evasions |= ray
                         break
-    # `attacked` counts an adjacent enemy king, so it is a checker here too;
+    # `_attacked` counts an adjacent enemy king, so it is a checker here too;
     # an enemy pawn attacks the king from one rank ahead of it
     for targets, piece in ((_KNIGHT_TO, kn), (_KING_TO, kg), (pawns, pw)):
         for s in targets[king]:
@@ -409,15 +401,15 @@ def _legal_among(sq, stm, moves, king, pinned, evasions):
     """Yield the legal ones of the pseudo-moves `moves`, in their order.
 
     `king`, `pinned` and `evasions` come from `_pins_and_evasions`. A king
-    step (any king move but castling) is legal when `attacked` says its
+    step (any king move but castling) is legal when `_attacked` says its
     target is safe on one copy of `sq` with the king lifted off, made once
     per call. That is the board after the step everywhere but the target,
-    whose own byte `attacked` never reads, and a slider's ray now runs on
+    whose own byte `_attacked` never reads, and a slider's ray now runs on
     through the king's empty square, so the king cannot step back along a
     checking ray. A move by another piece that misses the evasion squares
     while in check is illegal; one that is not en passant or castling, by
     a piece that is not pinned, is legal otherwise. Every other move is
-    made on a copy of `sq` and tested there with `attacked`; castling
+    made on a copy of `sq` and tested there with `_attacked`; castling
     leaves its king on the move's target.
     """
     white = stm == 0
@@ -564,7 +556,7 @@ def checking_moves(sq, stm, castling, ep, moves):
     kind attacks the king, or leaves a blocker's square for one off the
     line it blocks (both at once is a double check). En passant, castling
     and promotions change more than one square or the moving piece's kind:
-    each is made on a copy of `sq` and tested there with `attacked`.
+    each is made on a copy of `sq` and tested there with `_attacked`.
     Without an enemy king no move gives check, as `in_check` says.
     """
     _check_position("checking_moves", sq, stm, castling, ep)

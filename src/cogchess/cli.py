@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -32,6 +31,7 @@ VERDICT_COLUMNS = ("id", "verdict", "line", "nodes", "situations")
 STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
                  "self_touch_count", "emotion_change_count",
                  "mean_valence", "mean_arousal", "mean_pupil_mm")
+NAME_MAX = 255  # the longest file name, in bytes, of common file systems
 
 
 class CliError(Exception):
@@ -106,28 +106,35 @@ def _string(key: str, value) -> str:
     return value
 
 
-# Each command's options as (key, check, default) rows. The key is also a
-# config key and the flag's `dest`; the flag wins over the config file,
-# which wins over the default.
+# Each command's options as (key, check, default, help) rows. The key is a
+# config key and, with `-` for `_`, the name of a flag whose string goes
+# through the same check as a config value. The flag wins over the config
+# file, which wins over the default.
 SOLVE_OPTIONS = (
-    ("puzzles", _string, ""),
-    ("out", _string, "out"),
-    ("profile", _string, "neutral"),
-    ("seed", _integer, None),
-    ("wm_capacity", _integer, SolveLimits.wm_capacity),
-    ("entity_cap", _integer, SolveLimits.entity_cap),
-    ("max_nodes", _integer, SolveLimits.max_total_nodes),
-    ("base_budget", _integer, PlayerProfile.base_budget),
-    ("jobs", _integer, 1),
+    ("puzzles", _string, "", "JSONL puzzle file"),
+    ("out", _string, "out", "output directory"),
+    ("profile", _string, "neutral",
+     "player profile: " + ", ".join(sorted(PROFILES))),
+    ("seed", _integer, None, "required; recorded in every trace"),
+    ("wm_capacity", _integer, SolveLimits.wm_capacity,
+     "entities orientation loads into working memory, 4..9"),
+    ("entity_cap", _integer, SolveLimits.entity_cap,
+     "entities per situation model, 2..4"),
+    ("max_nodes", _integer, SolveLimits.max_total_nodes,
+     "nodes searched per puzzle"),
+    ("base_budget", _integer, PlayerProfile.base_budget,
+     "node budget of one situation"),
+    ("jobs", _integer, 1, "worker processes"),
 )
-ANALYZE_OPTIONS = (("recording", _string, ""), ("out", _string, "out"))
+ANALYZE_OPTIONS = (("recording", _string, "", "recording file"),
+                   ("out", _string, "out", "output directory"))
 
 
 def _options(table, args, config: dict) -> dict:
     """Each row's key -> its checked value; ValueError naming the first
     value a check rejects, else the first config key that no row has."""
     values = {}
-    for key, check, default in table:
+    for key, check, default, _ in table:
         flag = getattr(args, key)
         values[key] = check(key, config.get(key, default) if flag is None else flag)
     for key in config:
@@ -151,7 +158,8 @@ def _time_limit(rec: dict):
 def _load_puzzles(path: Path):
     """The records of a JSONL puzzle file, each checked as `solve` would
     check it; ValueError naming the first bad line. An id names the
-    puzzle's trace file, so it must be a plain file name used once."""
+    puzzle's trace file, so it must be a plain file name used once, in
+    UTF-8 and at most NAME_MAX bytes long with its suffix."""
     puzzles = []
     first_line = {}  # id -> the line that used it
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -168,6 +176,13 @@ def _load_puzzles(path: Path):
             puzzle_id = str(rec["id"])
             if puzzle_id in ("", ".", "..") or "/" in puzzle_id or "\0" in puzzle_id:
                 raise ValueError(f"id must be a plain file name, got {puzzle_id!r}")
+            try:
+                size = len(f"{puzzle_id}.trace.jsonl".encode())
+            except UnicodeEncodeError:
+                raise ValueError(f"id must encode to UTF-8, got {puzzle_id!r}") from None
+            if size > NAME_MAX:
+                raise ValueError(f"id makes a trace file name of {size} bytes, "
+                                 f"more than {NAME_MAX}")
             puzzles.append({
                 "id": puzzle_id,
                 "board": parse_fen(rec["fen"]),
@@ -223,15 +238,19 @@ def run_solve(args) -> None:
     seed = opts["seed"]
     payloads = [(p, player, limits, seed, ltm_text, catalog) for p in puzzles]
     if opts["jobs"] > 1:
+        # imported here, so that a run in one process never loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             results = list(pool.map(_solve_one, payloads))
     else:
         results = [_solve_one(p) for p in payloads]
 
     out_dir = Path(opts["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
+    traces_dir.mkdir(parents=True, exist_ok=True)
+    # traces/ holds this run's traces only: an earlier run's are removed
+    for stale in filter(Path.is_file, traces_dir.glob("*.trace.jsonl")):
+        stale.unlink()
     rows = []
     solved = 0
     total_nodes = 0
@@ -330,37 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cogchess",
         description="Chunk-based mate solver and multimodal affect analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
-    default = {key: value for key, _, value in SOLVE_OPTIONS}
-
-    ps = sub.add_parser("solve", help="solve a Mate-in-N puzzle file")
-    ps.add_argument("--puzzles", help="JSONL puzzle file")
-    ps.add_argument("--profile", choices=sorted(PROFILES))
-    ps.add_argument("--wm-capacity", dest="wm_capacity", type=int,
-                    help="entities orientation loads into working memory, "
-                         f"4..9 (default {default['wm_capacity']})")
-    ps.add_argument("--entity-cap", dest="entity_cap", type=int,
-                    help="entities per situation model, 2..4 "
-                         f"(default {default['entity_cap']})")
-    ps.add_argument("--seed", type=int, help="required; recorded in every trace")
-    ps.add_argument("--max-nodes", dest="max_nodes", type=int,
-                    help=f"nodes searched per puzzle (default {default['max_nodes']})")
-    ps.add_argument("--base-budget", dest="base_budget", type=int,
-                    help="node budget of one situation "
-                         f"(default {default['base_budget']})")
-    ps.add_argument("--jobs", type=int,
-                    help=f"worker processes (default {default['jobs']})")
-    ps.add_argument("--out", help=f"output directory (default {default['out']})")
-    ps.add_argument("--config", help="JSON config file; flags win on conflict")
-    ps.add_argument("--ltm", help="long-term memory snapshot to load")
-    ps.add_argument("--catalog", help="chunk catalog JSON file")
-    ps.set_defaults(func=run_solve)
-
-    pa = sub.add_parser("analyze", help="analyze a multimodal recording")
-    pa.add_argument("--recording", help="recording file")
-    pa.add_argument("--out")
-    pa.add_argument("--config", help="JSON config file; flags win on conflict")
-    pa.add_argument("--au-table", dest="au_table", help="AU mapping table JSON")
-    pa.set_defaults(func=run_analyze)
+    # the flags that name a side file, not a config key, as (key, help) rows
+    config = ("config", "JSON config file; flags win on conflict")
+    for name, about, table, files, run in (
+            ("solve", "solve a Mate-in-N puzzle file", SOLVE_OPTIONS,
+             [config, ("ltm", "long-term memory snapshot to load"),
+              ("catalog", "chunk catalog JSON file")], run_solve),
+            ("analyze", "analyze a multimodal recording", ANALYZE_OPTIONS,
+             [config, ("au_table", "AU mapping table JSON")], run_analyze)):
+        command = sub.add_parser(name, help=about)
+        command.set_defaults(func=run)
+        rows = [(key, text if default in (None, "") else f"{text} (default {default})")
+                for key, _, default, text in table]
+        for key, text in rows + files:  # a flag's string is checked by the run
+            command.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
 
     pt = sub.add_parser("trace", help="pretty-print a solver trace file")
     pt.add_argument("trace_file")

@@ -1,11 +1,13 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cli_child import run_cli
+from cli_child import _child_env, run_cli
 from cogchess import affect, cli
 from cogchess.cli import main
 from cogchess.ingest import parse_recording, serialize_recording, RecordingSession
@@ -101,6 +103,29 @@ def test_solve_rejects_non_integer_config_value(puzzle_file, tmp_path, capsys,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"invalid solve option: {key} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (key, value, f"invalid solve option: {key} must be an integer, got {value!r}")
+    for key, check, *_ in cli.SOLVE_OPTIONS if check is cli._integer
+    for value in ("two", "1.5")
+] + [
+    ("profile", "bogus", "unknown profile 'bogus'"),
+])
+def test_solve_rejects_flag_as_its_config_value(puzzle_file, tmp_path, capsys,
+                                                key, value, message):
+    """A bad value given as a flag ends the run with the stderr line and
+    exit code that the same value in a config file does."""
+    out = tmp_path / "x"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    argv = ["solve", "--puzzles", str(puzzle_file), "--out", str(out)]
+    if key != "seed":
+        argv += ["--seed", "1"]
+    for given in ([f"--{key.replace('_', '-')}", value], ["--config", str(cfg)]):
+        assert main(argv + given) == 2
+        assert capsys.readouterr() == ("", message + "\n")
     assert not out.exists()
 
 
@@ -220,6 +245,12 @@ def test_solve_rejects_bad_time_limit(tmp_path, capsys, value):
      "id must be a plain file name, got '../escaped'"),
     (dict(M3_004, id="a\0b"), "id must be a plain file name, got 'a\\x00b'"),
     (M3_004, "id 'm3-004' is already used on line 1"),
+    (dict(M3_004, id="\ud800"), "id must encode to UTF-8, got '\\ud800'"),
+    (dict(M3_004, id="x" * 300),
+     "id makes a trace file name of 312 bytes, more than 255"),
+    # 122 characters, but 244 bytes in UTF-8
+    (dict(M3_004, id="\u00e9" * 122),
+     "id makes a trace file name of 256 bytes, more than 255"),
 ])
 def test_solve_rejects_bad_puzzle_record(tmp_path, capsys, record, reason):
     """Every record is checked before any puzzle is solved."""
@@ -311,6 +342,26 @@ def test_analyze_rejects_bad_side_file(recording_file, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_solve_run_owns_traces_dir(tmp_path):
+    """A run into an existing output directory removes the traces an
+    earlier run left in traces/, and nothing else; an id of the longest
+    length allowed names its trace."""
+    out = tmp_path / "o"
+    traces = out / "traces"
+    (traces / "kept.trace.jsonl").mkdir(parents=True)  # a directory, not a trace
+    puzzles = tmp_path / "p.jsonl"
+    longest = "x" * 243  # its trace file's name is 255 bytes long
+    for puzzle_id in (longest, "other"):
+        puzzles.write_text(json.dumps(dict(M3_004, id=puzzle_id)) + "\n")
+        assert main(["solve", "--puzzles", str(puzzles), "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert (traces / f"{puzzle_id}.trace.jsonl").is_file()
+        (traces / "notes.txt").write_text("kept")
+    assert sorted(p.name for p in traces.iterdir()) == [
+        "kept.trace.jsonl", "notes.txt", "other.trace.jsonl"]
+    assert (out / "verdicts.tsv").read_text().splitlines()[1].startswith("other\t")
+
+
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", "--puzzles", str(tmp_path / "nope.jsonl"),
                  "--seed", "1", "--out", str(tmp_path / "x")]) == 1
@@ -327,6 +378,17 @@ def test_solve_identical_bytes_across_processes(puzzle_file, tmp_path):
     for rel in ["verdicts.tsv", "summary.txt", "traces/bk-1.trace.jsonl",
                 "traces/bat-2.trace.jsonl"]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_import_loads_no_process_pool():
+    """Importing the CLI, as every in-process caller does, loads no process
+    pool: only a run with --jobs above 1 needs one."""
+    code = ("import sys, cogchess.cli\n"
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env("0"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_solve_jobs_merge_matches_serial(puzzle_file, tmp_path):
@@ -381,9 +443,9 @@ def _output_of(tmp_path, name, command, inputs, key=None, in_config=False):
 
 
 @pytest.mark.parametrize("command, key", [
-    ("solve", key) for key, _, _ in cli.SOLVE_OPTIONS
+    ("solve", key) for key, *_ in cli.SOLVE_OPTIONS
 ] + [
-    ("analyze", key) for key, _, _ in cli.ANALYZE_OPTIONS
+    ("analyze", key) for key, *_ in cli.ANALYZE_OPTIONS
 ])
 def test_config_key_does_what_its_flag_does(puzzle_file, recording_file, tmp_path,
                                             command, key):

@@ -90,7 +90,6 @@ def test_attack_helpers_identical(compiled):
         for i in range(64):
             assert compiled.attack_targets(st[0], i) == pure.attack_targets(st[0], i)
             for white in (True, False):
-                assert compiled.attacked(st[0], i, white) == pure.attacked(st[0], i, white)
                 assert compiled.attackers(st[0], i, white) == pure.attackers(st[0], i, white)
 
 
@@ -193,8 +192,6 @@ def test_lone_piece_attacks_on_every_square(compiled, code):
         for t in range(64):
             for by_white in (True, False):
                 want = by_white == white and t in targets
-                assert pure.attacked(sq, t, by_white) is want, (s, t)
-                assert compiled.attacked(sq, t, by_white) is want, (s, t)
                 assert pure.attackers(sq, t, by_white) == ([s] if want else [])
                 assert compiled.attackers(sq, t, by_white) == ([s] if want else [])
 
@@ -345,7 +342,7 @@ def _calls(entry, board):
     stm, castling, ep = board._stm, board.castling.mask, board._ep
     white = stm == 0
     moves = pure.legal_moves(board._squares, stm, castling, ep)
-    if entry in ("attacked", "attackers"):
+    if entry == "attackers":
         return [(s, by_white) for s in range(64) for by_white in (True, False)]
     if entry == "attack_targets":
         return [(s,) for s in range(64)]
@@ -378,7 +375,6 @@ def test_entries_never_write_to_their_squares(kernel, name):
 
 # Each entry's arguments around a squares buffer `sq`.
 ENTRY_ARGS = {
-    "attacked": lambda sq: (sq, 0, True),
     "attackers": lambda sq: (sq, 0, True),
     "attack_targets": lambda sq: (sq, 0),
     "in_check": lambda sq: (sq, True),
@@ -398,8 +394,7 @@ def _rejects_squares_not_64_bytes(kernel, name, size):
 
 def _rejects_square_off_board(kernel, target):
     sq = _board.start_board()._squares
-    for name, args in (("attacked", (sq, target, True)),
-                       ("attackers", (sq, target, False)),
+    for name, args in (("attackers", (sq, target, False)),
                        ("attack_targets", (sq, target)),
                        ("checking_moves", (sq, 0, 0, -1, [(target, 28, 0, 0)])),
                        ("checking_moves", (sq, 0, 0, -1, [(12, 28, 0, 0),
