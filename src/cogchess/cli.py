@@ -14,6 +14,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from .affect import analyze_session, load_au_table
@@ -344,21 +345,23 @@ def run_trace(args) -> None:
               f"{e['event']!s:<15} {detail}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    all later ones; it names each command, and `main` runs `run_<command>`."""
     parser = argparse.ArgumentParser(
         prog="cogchess",
         description="Chunk-based mate solver and multimodal affect analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
     # the flags that name a side file, not a config key, as (key, help) rows
     config = ("config", "JSON config file; flags win on conflict")
-    for name, about, table, files, run in (
+    for name, about, table, files in (
             ("solve", "solve a Mate-in-N puzzle file", SOLVE_OPTIONS,
              [config, ("ltm", "long-term memory snapshot to load"),
-              ("catalog", "chunk catalog JSON file")], run_solve),
+              ("catalog", "chunk catalog JSON file")]),
             ("analyze", "analyze a multimodal recording", ANALYZE_OPTIONS,
-             [config, ("au_table", "AU mapping table JSON")], run_analyze)):
+             [config, ("au_table", "AU mapping table JSON")])):
         command = sub.add_parser(name, help=about)
-        command.set_defaults(func=run)
         rows = [(key, text if default in (None, "") else f"{text} (default {default})")
                 for key, _, default, text in table]
         for key, text in rows + files:  # a flag's string is checked by the run
@@ -366,14 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trace", help="pretty-print a solver trace file")
     pt.add_argument("trace_file")
-    pt.set_defaults(func=run_trace)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # looked up at each call, not kept from the parser's first build,
+        # so that whatever this module's `run_<command>` is now is run
+        globals()[f"run_{args.command}"](args)
     except CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code

@@ -6,7 +6,7 @@ directory that holds the `cogchess` package this process imported, and
 COGCHESS_PURE when it is set here. The child therefore runs the same
 program on the same kernel, whether the suite runs installed or from
 `src/` uninstalled. It reports the package file and kernel it loaded, and
-`run_cli` asserts that both match this process before any output is
+`run_child` asserts that both match this process before any output is
 compared.
 """
 
@@ -39,15 +39,25 @@ def _child_env(hashseed):
     return env
 
 
-def run_cli(args, hashseed):
-    """Run `cogchess <args>` in a child process; fail unless it exits 0
-    after loading the same package file and kernel as this process."""
+def run_child(args, hashseed, cwd=None):
+    """Run `cogchess <args>` in a child process from `cwd`, and return its
+    (exit code, stdout, stderr) after checking that it loaded the same
+    package file and kernel as this process."""
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, json.dumps(args)],
+        [sys.executable, "-c", _SCRIPT, json.dumps(args)], cwd=cwd,
         capture_output=True, text=True, env=_child_env(hashseed))
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[0])
+    header, _, stdout = proc.stdout.partition("\n")
+    assert header, proc.stderr  # the child ended before it could report
+    loaded = json.loads(header)
     assert Path(loaded["file"]).resolve() == PACKAGE_FILE, (
         f"child imported {loaded['file']}, parent imported {PACKAGE_FILE}")
     assert loaded["kernel"] == KERNEL, (
         f"child ran the {loaded['kernel']} kernel, parent the {KERNEL} kernel")
+    return proc.returncode, stdout, proc.stderr
+
+
+def run_cli(args, hashseed):
+    """Run `cogchess <args>` in a child process as `run_child` does; fail
+    unless it exits 0."""
+    code, _, stderr = run_child(args, hashseed)
+    assert code == 0, stderr

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,40 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from cli_child import _child_env, run_cli
+from cli_child import _child_env, run_child, run_cli
 from cogchess import affect, cli
 from cogchess.cli import main
 from cogchess.ingest import parse_recording, serialize_recording, RecordingSession
-from fixtures_affect import emotion_change_stream, skeleton_frame, touch_stream
+from fixtures_affect import skeleton_frame
 from genrecording import BAD_LINES, PLANTED, make_recording
 
 DATA = Path(__file__).parent / "data"
 AU_TABLE = affect.load_au_table()
-
-
-@pytest.fixture()
-def puzzle_file(tmp_path):
-    puzzles = [
-        {"id": "bk-1", "fen": "6k1/5ppp/8/8/8/8/8/4R2K w - - 0 1",
-         "mate_in": 1, "time_limit_s": 120},
-        {"id": "bat-2", "fen": "r5k1/5ppp/8/8/8/4Q3/7K/4R3 w - - 0 1",
-         "mate_in": 2, "time_limit_s": 120},
-    ]
-    path = tmp_path / "puzzles.jsonl"
-    path.write_text("".join(json.dumps(p) + "\n" for p in puzzles))
-    return path
-
-
-@pytest.fixture()
-def recording_file(tmp_path):
-    session = RecordingSession(subject_id="s01")
-    session.au_stream = emotion_change_stream(10, t0_ms=0)
-    session.skeleton_stream = touch_stream(12, t0_ms=0)
-    end = max(session.au_stream[-1].t_ms, session.skeleton_stream[-1].t_ms) + 50
-    session.markers = [(0, "task_start", 9), (end, "task_end", 9)]
-    path = tmp_path / "session.rec"
-    path.write_text(serialize_recording(session))
-    return path
 
 
 def test_solve_writes_artifacts(puzzle_file, tmp_path):
@@ -391,6 +367,84 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of `main(argv)` in this process, with
+    argparse's SystemExit taken as the exit code."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _files(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_in_process_calls_share_no_state(puzzle_file, tmp_path, capsys, monkeypatch):
+    """Calls of `main` in one process, passing and failing, each give the
+    exit code, stdout, stderr and files that a fresh process gives."""
+    monkeypatch.setenv("COLUMNS", "80")  # a child's piped stdout reads as 80
+    dirs = {side: tmp_path / side for side in ("process", "child")}
+    for d in dirs.values():
+        d.mkdir()
+        (d / "p.jsonl").write_bytes(puzzle_file.read_bytes())
+        (d / "cfg.json").write_text(json.dumps({"puzzles": "p.jsonl", "seed": 4}))
+    first = ["solve", "--config", "cfg.json", "--out", "a"]
+    sequence = [
+        first,
+        ["solve", "--puzzles", "p.jsonl", "--seed", "3", "--out", "b"],
+        ["solve", "--puzzles", "p.jsonl", "--seed", "3", "--profile", "aggressive",
+         "--max-nodes", "40", "--entity-cap", "2", "--out", "c"],
+        ["solve", "--puzzles", "p.jsonl", "--seed", "x", "--out", "d"],
+        ["solve", "--puzzles", "p.jsonl", "--seed", "3", "--bogus", "1"],
+        first,
+    ]
+    monkeypatch.chdir(dirs["process"])
+    codes = []
+    for argv in sequence:
+        here = _in_process(argv, capsys)
+        assert here == run_child(argv, "0", dirs["child"]), argv
+        assert _files(dirs["process"]) == _files(dirs["child"]), argv
+        codes.append(here[0])
+    assert codes == [0, 0, 0, 2, 2, 0]
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    """After one call of `main`, later calls of each command add no
+    argument to any parser."""
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    missing = str(tmp_path / "none")
+    assert main(["trace", missing]) == 1
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["solve", "--puzzles", missing, "--seed", "1"]) == 1
+    assert main(["analyze", "--recording", missing]) == 1
+    assert main(["trace", missing]) == 1
+    assert added == []
+    cli.build_parser.__wrapped__()  # a build the counter does see
+    assert added
+
+
+def test_help_bytes_match_a_fresh_process(tmp_path, capsys, monkeypatch):
+    """Each command's --help, printed after other calls in this process,
+    is the one a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # a child's piped stdout reads as 80
+    assert _in_process(["trace", str(tmp_path / "none")], capsys)[0] == 1
+    for command in ([], ["solve"], ["analyze"], ["trace"]):
+        argv = command + ["--help"]
+        here = _in_process(argv, capsys)
+        assert here[0] == 0 and here[1].startswith("usage: cogchess")
+        assert here == run_child(argv, "0", tmp_path), argv
+
+
 def test_solve_jobs_merge_matches_serial(puzzle_file, tmp_path):
     a = tmp_path / "serial"
     b = tmp_path / "parallel"
@@ -438,8 +492,7 @@ def _output_of(tmp_path, name, command, inputs, key=None, in_config=False):
     for flag, value in flags.items():
         argv += [f"--{flag.replace('_', '-')}", str(value)]
     assert main(argv) == 0
-    return {str(p.relative_to(out)): p.read_bytes()
-            for p in sorted(out.rglob("*")) if p.is_file()}
+    return _files(out)
 
 
 @pytest.mark.parametrize("command, key", [
