@@ -32,6 +32,14 @@ VERDICT_COLUMNS = ("id", "verdict", "line", "nodes", "situations")
 STATS_COLUMNS = ("task_id", "t_start_ms", "t_end_ms", "duration_ms",
                  "self_touch_count", "emotion_change_count",
                  "mean_valence", "mean_arousal", "mean_pupil_mm")
+# each file `analyze` writes -> its columns, in the order they are written
+ANALYZE_COLUMNS = {
+    "task_stats.tsv": STATS_COLUMNS,
+    "au_series.tsv": ("t_ms", "valence", "arousal_60s", "emotion"),
+    "skeleton_series.tsv": ("t_ms", "body_volume_m3", "agitation_rad_s"),
+    "touch_events.tsv": ("start_ms", "end_ms"),
+    "quality.tsv": ("measure", "count"),
+}
 NAME_MAX = 255  # the longest file name, in bytes, of common file systems
 
 
@@ -174,7 +182,9 @@ def _load_puzzles(path: Path):
                 raise ValueError(f"fen must be a string, got {rec['fen']!r}")
             mate_in = _integer("mate_in", rec["mate_in"])
             check_mate_depth(mate_in)
-            puzzle_id = str(rec["id"])
+            puzzle_id = rec["id"]
+            if not isinstance(puzzle_id, str):
+                raise ValueError(f"id must be a string, got {puzzle_id!r}")
             if puzzle_id in ("", ".", "..") or "/" in puzzle_id or "\0" in puzzle_id:
                 raise ValueError(f"id must be a plain file name, got {puzzle_id!r}")
             try:
@@ -197,6 +207,28 @@ def _load_puzzles(path: Path):
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{lineno}: bad puzzle record: {exc}") from exc
     return puzzles
+
+
+def _check_outputs(out_dir: Path, subdirs=(), files=()) -> None:
+    """Ends the run (exit 2) before any work unless `out_dir` can take the
+    outputs: the first of `out_dir` and its ancestors that exists must be a
+    directory and, when `out_dir` exists, each of `subdirs` that exists a
+    directory and each of `files` that exists a regular file. Nothing is
+    written or removed."""
+    with _fails(2, f"cannot write outputs to {out_dir}: "):
+        existing = out_dir
+        while not existing.exists() and existing.parent != existing:
+            existing = existing.parent
+        if not existing.is_dir():
+            raise ValueError(f"{existing} is not a directory")
+        if existing != out_dir:
+            return  # nothing lies under a directory the run has yet to make
+        for path in subdirs:
+            if path.exists() and not path.is_dir():
+                raise ValueError(f"{path} is not a directory")
+        for path in files:
+            if path.exists() and not path.is_file():
+                raise ValueError(f"{path} is not a regular file")
 
 
 def _solve_one(payload):
@@ -235,6 +267,12 @@ def run_solve(args) -> None:
         raise CliError(f"puzzle file not found: {puzzles_path}", 1)
     with _fails(2):
         puzzles = _load_puzzles(puzzles_path)
+    out_dir = Path(opts["out"])
+    traces_dir = out_dir / "traces"
+    verdicts_path, summary_path = out_dir / "verdicts.tsv", out_dir / "summary.txt"
+    trace_paths = {p["id"]: traces_dir / f"{p['id']}.trace.jsonl" for p in puzzles}
+    _check_outputs(out_dir, [traces_dir],
+                   [verdicts_path, summary_path, *trace_paths.values()])
 
     seed = opts["seed"]
     payloads = [(p, player, limits, seed, ltm_text, catalog) for p in puzzles]
@@ -246,8 +284,6 @@ def run_solve(args) -> None:
     else:
         results = [_solve_one(p) for p in payloads]
 
-    out_dir = Path(opts["out"])
-    traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     # traces/ holds this run's traces only: an earlier run's are removed
     for stale in filter(Path.is_file, traces_dir.glob("*.trace.jsonl")):
@@ -259,12 +295,12 @@ def run_solve(args) -> None:
         rows.append(row)
         solved += verdict == "solved"
         total_nodes += int(row[3])
-        (traces_dir / f"{puzzle_id}.trace.jsonl").write_text(trace_text)
+        trace_paths[puzzle_id].write_text(trace_text)
 
-    _write_tsv(out_dir / "verdicts.tsv", VERDICT_COLUMNS, rows)
+    _write_tsv(verdicts_path, VERDICT_COLUMNS, rows)
     summary = (f"puzzles\t{len(rows)}\nsolved\t{solved}\n"
                f"total_nodes\t{total_nodes}\nseed\t{seed}\n")
-    (out_dir / "summary.txt").write_text(summary)
+    summary_path.write_text(summary)
     print(f"solved {solved}/{len(rows)} puzzles, {total_nodes} nodes "
           f"-> {out_dir}")
 
@@ -278,25 +314,27 @@ def run_analyze(args) -> None:
     rec_path = Path(opts["recording"])
     if not rec_path.is_file():
         raise CliError(f"recording file not found: {rec_path}", 1)
+    out_dir = Path(opts["out"])
+    _check_outputs(out_dir, files=[out_dir / name for name in ANALYZE_COLUMNS])
 
     with _fails(1):  # everything is computed before writing: no partial outputs
         session = parse_recording(rec_path.read_text())
         stats, au_rows, skeleton_rows, touches, quality = \
             analyze_session(session, table)
 
-    out_dir = Path(opts["out"])
+    rows = {
+        "task_stats.tsv": [
+            (s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms, s.self_touch_count,
+             s.emotion_change_count, s.mean_valence, s.mean_arousal, s.mean_pupil_mm)
+            for s in stats],
+        "au_series.tsv": au_rows,
+        "skeleton_series.tsv": skeleton_rows,
+        "touch_events.tsv": touches,
+        "quality.tsv": [(q.name, getattr(quality, q.name)) for q in fields(quality)],
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_tsv(out_dir / "task_stats.tsv", STATS_COLUMNS, [
-        (s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms, s.self_touch_count,
-         s.emotion_change_count, s.mean_valence, s.mean_arousal, s.mean_pupil_mm)
-        for s in stats])
-    _write_tsv(out_dir / "au_series.tsv",
-               ("t_ms", "valence", "arousal_60s", "emotion"), au_rows)
-    _write_tsv(out_dir / "skeleton_series.tsv",
-               ("t_ms", "body_volume_m3", "agitation_rad_s"), skeleton_rows)
-    _write_tsv(out_dir / "touch_events.tsv", ("start_ms", "end_ms"), touches)
-    _write_tsv(out_dir / "quality.tsv", ("measure", "count"),
-               [(q.name, getattr(quality, q.name)) for q in fields(quality)])
+    for name, columns in ANALYZE_COLUMNS.items():
+        _write_tsv(out_dir / name, columns, rows[name])
 
     for lineno, message in session.line_errors:
         print(f"warning: line {lineno}: {message}", file=sys.stderr)

@@ -1,17 +1,21 @@
 """Situation-model reasoner: solves Mate-in-N puzzles in four phases.
 
-Orientation extracts the relations once, recognizes chunks from them and
-loads entities into a working memory of `SolveLimits.wm_capacity` slots
-(the trace's `working-memory` event lists them; exploration does not read
-them). Exploration enumerates candidate situations (at most 4 entities
-each) from what orientation perceived, scores each by its signature
-with the emotion tag recalled from long-term memory, and ranks them; a
-`SituationModel` is built only for each situation selected for
-investigation. Investigation runs a budgeted AND-OR search whose root
-move ordering prefers moves proposed by the chosen situation.
+Orientation (`orient`) perceives the board once, as one `Perception`:
+the relations, the chunks recognized from them, the entity pool, one bit
+per board piece and each entity's and relation's piece bitmask, each
+entity's relation cover counted from those masks, and the entities it
+loaded into a working memory of `SolveLimits.wm_capacity` slots (the
+trace's `working-memory` event lists them; exploration does not read
+them). Exploration (`explore`) enumerates candidate situations (at most
+4 entities each) on the perception's bitmasks, scores each by its
+signature with the emotion tag recalled from long-term memory, and
+ranks them; a `SituationModel` is built only for each situation selected
+for investigation. Investigation runs a budgeted AND-OR search whose
+root move ordering prefers moves proposed by the chosen situation.
 Validation replays a claimed mating line full-width, with no pruning and
 no budget, so a solved verdict is always exact; every investigated
-situation feeds a reward back into long-term memory.
+situation feeds a reward back into long-term memory. `solve` calls each
+phase through this module's globals and writes the whole trace.
 
 Inside the solver a move is the kernel's `(frm, to, promo)` key: a
 situation model proposes keys, the search runs on the kernel's move
@@ -172,7 +176,7 @@ class SolveResult:
     trace: ReasoningTrace
 
 
-# -- exploration ---------------------------------------------------------------
+# -- orientation ---------------------------------------------------------------
 
 
 def _piece_entity(piece) -> SituationEntity:
@@ -185,21 +189,63 @@ def _chunk_entity(chunk: ChunkInstance) -> SituationEntity:
                            chunk.members)
 
 
-def perceive(board: Board, catalog) -> tuple:
-    """What orientation perceives: (relations, pool, cover).
+@dataclass(frozen=True)
+class Perception:
+    """What orientation perceives of one board, read by working memory and
+    by exploration alike.
 
-    `relations` are the board's relations sorted by id, which chunk
-    recognition reads too, `pool` the entities (the chunk instances of
-    `catalog`'s patterns, then single pieces) and `cover` maps each
-    entity id to the number of relations that involve one of its pieces.
+    `relations` are the board's relations sorted by id, `pool` the
+    entities (the chunk instances of the catalog's patterns, then single
+    pieces), `masks` maps each entity id to the bits of its pieces (one
+    bit per board piece, so a single piece's entity is its own bit),
+    `relation_masks` holds each relation's bits in `relations` order and
+    `cover` maps each entity id to the number of relations that involve
+    one of its pieces. `loaded` and `rejected` are the ids working memory
+    took and refused, in load order.
     """
-    relations = sorted(extract_relations(board), key=lambda r: r.id)
+
+    relations: tuple
+    pool: tuple
+    masks: dict
+    relation_masks: tuple
+    cover: dict
+    loaded: tuple
+    rejected: tuple
+
+
+def orient(board: Board, catalog, capacity: int) -> Perception:
+    """Orientation: the board's relations and `catalog`'s chunks, their
+    bitmasks and cover, and the entities loaded into a working memory of
+    `capacity` slots, chunks first, then by cover (more first), then by
+    id, each with an activation that grows with its cover."""
+    relations = tuple(sorted(extract_relations(board), key=lambda r: r.id))
     chunks = recognize_chunks(board, catalog, relations)
-    pool = [_chunk_entity(c) for c in chunks] + [_piece_entity(p) for p in board.pieces]
-    involved = [set(r.entities) for r in relations]
-    cover = {e.id: sum(1 for s in involved if not s.isdisjoint(e.piece_ids))
+    pool = tuple([_chunk_entity(c) for c in chunks]
+                 + [_piece_entity(p) for p in board.pieces])
+    bit = {p.id: 1 << i for i, p in enumerate(board.pieces)}
+
+    def mask(pids) -> int:
+        return functools.reduce(operator.or_, (bit[pid] for pid in pids), 0)
+
+    masks = {e.id: mask(e.piece_ids) for e in pool}
+    relation_masks = tuple(mask(r.entities) for r in relations)
+    cover = {e.id: sum(1 for rm in relation_masks if rm & masks[e.id])
              for e in pool}
-    return relations, pool, cover
+
+    max_cover = max(cover.values(), default=0) or 1
+    wm = WorkingMemory(capacity=capacity)
+    loaded, rejected = [], []
+    for e in sorted(pool, key=lambda e: (e.etype != "chunk", -cover[e.id], e.id)):
+        activation = 0.5 + 0.5 * cover[e.id] / max_cover
+        if wm.insert(Entity(e.id, activation)):
+            loaded.append(e.id)
+        else:
+            rejected.append(e.id)
+    return Perception(relations, pool, masks, relation_masks, cover,
+                      tuple(loaded), tuple(rejected))
+
+
+# -- exploration ---------------------------------------------------------------
 
 
 def check_entity_cap(cap: int) -> None:
@@ -214,28 +260,29 @@ def check_mate_depth(n: int) -> None:
         raise ValueError(f"mate depth must be 1..6, got {n}")
 
 
-def enumerate_situations(board: Board, relations, pool, cover,
+def enumerate_situations(board: Board, perception: Perception,
                          cap: int = ENTITY_CAP) -> list:
     """Candidate situations, deterministically pre-ranked, each as
     `(signature, size, model)`, where `model()` builds its `SituationModel`.
 
-    `relations`, `pool` and `cover` are what `perceive` returned for this
-    board. Candidates are subsets (size <= cap, at most `MAX_CANDIDATES`
-    of them) of the pool that contain at least one entity of each color
-    and propose at least one mover move. To keep enumeration bounded,
-    subsets are drawn from the `POOL_RANK_LIMIT` entities covering the
-    most relations. The pre-rank orders candidates by size, then by
-    covered relations (more first), then by entity ids. Subsets are
-    ranked on piece bitmasks (one bit per board piece) and enumeration
-    stops at the size that fills `MAX_CANDIDATES`. The legal moves are
-    the kernel's `legal_moves` tuples, each mover read from the board's
-    square index. Each candidate's inside relations are found once, as
-    indices; its signature joins the descriptors formatted once per call,
-    and no model is built until `model()` is called. A model's proposed
-    keys are read off the kernel tuples; no `Move` is built.
+    `perception` is what `orient` perceived of this board. Candidates are
+    subsets (size <= cap, at most `MAX_CANDIDATES` of them) of the pool
+    that contain at least one entity of each color and propose at least
+    one mover move. To keep enumeration bounded, subsets are drawn from
+    the `POOL_RANK_LIMIT` entities covering the most relations. The
+    pre-rank orders candidates by size, then by covered relations (more
+    first), then by entity ids. Subsets are ranked on the perception's
+    piece bitmasks, and enumeration stops at the size that fills
+    `MAX_CANDIDATES`. The legal moves are the kernel's `legal_moves`
+    tuples, each mover's bit read from the board's square index. Each
+    candidate's inside relations are found once, as indices; its
+    signature joins the descriptors formatted once per call, and no model
+    is built until `model()` is called. A model's proposed keys are read
+    off the kernel tuples; no `Move` is built.
     """
     check_entity_cap(cap)
-    ranked = sorted(pool, key=lambda e: (-cover[e.id], e.id))
+    cover, masks = perception.cover, perception.masks
+    ranked = sorted(perception.pool, key=lambda e: (-cover[e.id], e.id))
     selected = ranked[:POOL_RANK_LIMIT]
     for color in (Color.WHITE, Color.BLACK):
         if not any(e.color is color for e in selected):
@@ -245,18 +292,12 @@ def enumerate_situations(board: Board, relations, pool, cover,
     # in id order, index tuples of combinations sort as their id tuples do
     selected.sort(key=lambda e: e.id)
 
-    pieces = board.pieces
-    bit = {p.id: 1 << i for i, p in enumerate(pieces)}
-
-    def mask(pids) -> int:
-        return functools.reduce(operator.or_, (bit[pid] for pid in pids), 0)
-
     legal = _board._mg.legal_moves(*_state(board)[:4])
-    move_masks = [bit[board._by_index[m[0]].id] for m in legal]
+    move_masks = [masks[board._by_index[m[0]].id] for m in legal]
     movers = functools.reduce(operator.or_, move_masks, 0)
-    entity_masks = [mask(e.piece_ids) for e in selected]
+    entity_masks = [masks[e.id] for e in selected]
     entity_colors = [1 if e.color is Color.WHITE else 2 for e in selected]
-    relation_masks = [mask(r.entities) for r in relations]
+    relation_masks = perception.relation_masks
 
     keys = []
     for size in range(2, cap + 1):
@@ -275,9 +316,9 @@ def enumerate_situations(board: Board, relations, pool, cover,
             keys.append((size, -len(inside), combo, members, inside))
     keys.sort()  # total: no two subsets share an index tuple
 
-    kinds = {p.id: (p.kind.value, p.color) for p in pieces}
+    kinds = {p.id: (p.kind.value, p.color) for p in board.pieces}
     entity_desc, relation_desc = descriptors(board.side_to_move, selected,
-                                             relations, kinds)
+                                             perception.relations, kinds)
 
     def model(combo, members) -> SituationModel:
         return SituationModel(
@@ -288,6 +329,20 @@ def enumerate_situations(board: Board, relations, pool, cover,
                                  [relation_desc[j] for j in inside]),
              size, functools.partial(model, combo, members))
             for size, _, combo, members, inside in keys[:MAX_CANDIDATES]]
+
+
+def explore(board: Board, perception: Perception, ltm: LongTermMemory,
+            profile: PlayerProfile, cap: int) -> list:
+    """Exploration: the candidates of `enumerate_situations`, each scored
+    with the emotion tag `ltm` recalls for its signature, as `(score, tag,
+    signature, size, model)`, best first; the sort is stable, so full ties
+    keep the enumeration pre-rank (the cold-start fallback)."""
+    scored = []
+    for sig, size, model in enumerate_situations(board, perception, cap):
+        tag = ltm.lookup(sig)
+        scored.append((score_situation(tag, profile), tag, sig, size, model))
+    scored.sort(key=lambda t: (-t[0], -t[1].dominance))
+    return scored
 
 
 def score_situation(tag: EmotionTag, profile: PlayerProfile) -> float:
@@ -546,78 +601,48 @@ def solve(board: Board, n: int, profile: PlayerProfile,
     if time_limit_ms is not None and not time_limit_ms > 0:
         raise ValueError(f"time_limit_ms must be > 0, got {time_limit_ms}")
     limits = limits or SolveLimits()
-    wm = WorkingMemory(capacity=limits.wm_capacity)
     ltm = ltm or LongTermMemory()
     catalog = catalog if catalog is not None else load_catalog()
+    trace = ReasoningTrace({"puzzle": puzzle_id, "fen": emit_fen(board), "mate_in": n,
+                            "profile": profile.style, "seed": seed})
 
-    trace = ReasoningTrace({
-        "puzzle": puzzle_id, "fen": emit_fen(board), "mate_in": n,
-        "profile": profile.style, "seed": seed,
-    })
-    clock = 0
-
-    # Orientation: perceive chunks and relations, load entities into WM.
-    relations, pool, cover = perceive(board, catalog)
-    clock += _COST_ORIENT_MS
+    perception = orient(board, catalog, limits.wm_capacity)
+    clock = _COST_ORIENT_MS
+    relation_ids = [r.id for r in perception.relations]
     trace.add(clock, "orientation", "chunks", None,
-              {"instances": [e.id for e in pool if e.etype == "chunk"]})
+              {"instances": [e.id for e in perception.pool if e.etype == "chunk"]})
     trace.add(clock, "orientation", "relations", None,
-              {"count": len(relations), "ids": [r.id for r in relations]})
-
-    max_cover = max(cover.values(), default=0) or 1
-    accepted, rejected = [], []
-    for e in sorted(pool, key=lambda e: (e.etype != "chunk", -cover[e.id], e.id)):
-        activation = 0.5 + 0.5 * cover[e.id] / max_cover
-        if wm.insert(Entity(e.id, activation)):
-            accepted.append(e.id)
-        else:
-            rejected.append(e.id)
+              {"count": len(relation_ids), "ids": relation_ids})
     trace.add(clock, "orientation", "working-memory", None,
-              {"loaded": accepted, "rejected": rejected,
-               "capacity": wm.capacity})
+              {"loaded": list(perception.loaded),
+               "rejected": list(perception.rejected), "capacity": limits.wm_capacity})
 
-    # Exploration: enumerate, score with recalled emotion, rank.
-    candidates = enumerate_situations(board, relations, pool, cover,
-                                      limits.entity_cap)
-    scored = []
-    for sig, size, model in candidates:
-        tag = ltm.lookup(sig)
-        scored.append((score_situation(tag, profile), tag, sig, size, model))
-    # stable: full ties keep the enumeration pre-rank (cold-start fallback)
-    scored.sort(key=lambda t: (-t[0], -t[1].dominance))
+    scored = explore(board, perception, ltm, profile, limits.entity_cap)
     clock += _COST_EXPLORE_MS
-    trace.add(clock, "exploration", "ranking", None,
-              {"candidates": [{"signature": sig, "score": round(score, 9),
-                               "dominance": round(tag.dominance, 9),
-                               "entities": size}
-                              for score, tag, sig, size, _ in scored]})
+    trace.add(clock, "exploration", "ranking", None, {"candidates": [
+        {"signature": sig, "score": round(score, 9),
+         "dominance": round(tag.dominance, 9), "entities": size}
+        for score, tag, sig, size, _ in scored]})
 
-    nodes_total = 0
-    investigated = 0
+    nodes_total = investigated = 0
     table = {}  # investigate's OR-node results, shared by this solve only
     for episode, (score, tag, sig, _, model) in enumerate(scored, start=1):
-        if investigated >= limits.max_situations:
+        if (investigated >= limits.max_situations
+                or nodes_total >= limits.max_total_nodes
+                or (time_limit_ms is not None and clock >= time_limit_ms)):
             break
-        if nodes_total >= limits.max_total_nodes:
-            break
-        if time_limit_ms is not None and clock >= time_limit_ms:
-            break
-        budget = min(effort_budget(tag, profile),
-                     limits.max_total_nodes - nodes_total)
+        budget = min(effort_budget(tag, profile), limits.max_total_nodes - nodes_total)
         situation = model()
         trace.add(clock, "exploration", "selected", episode,
-                  {"signature": sig, "score": round(score, 9),
-                   "budget": budget,
+                  {"signature": sig, "score": round(score, 9), "budget": budget,
                    "entities": list(situation.entity_ids)})
-
         result = investigate(board, situation, n, budget, table)
         investigated += 1
         nodes_total += result.nodes
         clock += result.nodes * _COST_PER_NODE_MS
         ucis = [m.uci for m in result.line] if result.line else None
         trace.add(clock, "investigation", "searched", episode,
-                  {"nodes": result.nodes, "exhausted": result.exhausted,
-                   "line": ucis})
+                  {"nodes": result.nodes, "exhausted": result.exhausted, "line": ucis})
 
         if result.line:
             valid = validate_line(board, result.line, n)
@@ -626,17 +651,14 @@ def solve(board: Board, n: int, profile: PlayerProfile,
             trace.add(clock, "validation", "checked", episode,
                       {"line": ucis, "valid": valid, "proposed": proposed})
             if valid:
-                # credit the situation only if its own proposal started the
-                # line; a mate found through the fallback moves means the
-                # situation's proposals were refuted first
+                # credit the situation only if its own proposal started the line;
+                # a mate found through the fallback moves refuted its proposals first
                 ltm.update(sig, 1.0 if proposed else -1.0)
                 trace.add(clock, "validation", "verdict", episode,
-                          {"verdict": "solved", "line": ucis,
-                           "nodes": nodes_total})
+                          {"verdict": "solved", "line": ucis, "nodes": nodes_total})
                 return SolveResult("solved", ucis, nodes_total, investigated, trace)
         ltm.update(sig, -1.0)
 
     trace.add(clock, "exploration", "exhausted", None,
-              {"verdict": "unsolved", "nodes": nodes_total,
-               "situations": investigated})
+              {"verdict": "unsolved", "nodes": nodes_total, "situations": investigated})
     return SolveResult("unsolved", [], nodes_total, investigated, trace)

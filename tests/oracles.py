@@ -7,13 +7,15 @@ moves are found by testing every (from, to) square pair against a
 geometric reachability predicate, and application rebuilds the dict.
 Keep it slow and obvious; it is the measuring stick, not the product.
 
-`enumerate_situations_reference`, `situation_signature_reference`,
-`investigate_reference`,
+`cover_reference`, `enumerate_situations_reference`,
+`situation_signature_reference`, `investigate_reference`,
 `match_batteries_reference`, `match_trapped_kings_reference`,
 `validate_line_reference`, `_proves_reference`,
 `_ordered_reference`, `checking_moves_reference` and
 `apply_move_reference` are the exceptions:
-the solver's exploration step in its earlier, exhaustive form (build
+orientation's relation cover as it was counted on piece-id sets
+before it was counted on piece bitmasks, the solver's exploration step
+in its earlier, exhaustive form (build
 every subset, sort, truncate) with its own situation model
 (`SituationModelReference`, which holds the inside relations and the
 proposed moves as `Move`s), the signature as it was when it formatted
@@ -463,6 +465,15 @@ class SituationModelReference:
     @property
     def entity_ids(self) -> tuple:
         return tuple(e.id for e in self.entities)
+
+
+def cover_reference(relations, pool) -> dict:
+    """Each entity id of `pool` -> the number of `relations` that involve
+    one of its pieces, counted by set intersection of piece ids, as
+    orientation counted it before it read piece bitmasks."""
+    involved = [set(r.entities) for r in relations]
+    return {e.id: sum(1 for s in involved if not s.isdisjoint(e.piece_ids))
+            for e in pool}
 
 
 def enumerate_situations_reference(board, relations, pool, cover,

@@ -227,6 +227,11 @@ def test_solve_rejects_bad_time_limit(tmp_path, capsys, value):
     # 122 characters, but 244 bytes in UTF-8
     (dict(M3_004, id="\u00e9" * 122),
      "id makes a trace file name of 256 bytes, more than 255"),
+    # an id is a JSON string, never text made from another value
+    (dict(M3_004, id=None), "id must be a string, got None"),
+    (dict(M3_004, id=7), "id must be a string, got 7"),
+    (dict(M3_004, id=True), "id must be a string, got True"),
+    (dict(M3_004, id=["a"]), "id must be a string, got ['a']"),
 ])
 def test_solve_rejects_bad_puzzle_record(tmp_path, capsys, record, reason):
     """Every record is checked before any puzzle is solved."""
@@ -336,6 +341,69 @@ def test_solve_run_owns_traces_dir(tmp_path):
     assert sorted(p.name for p in traces.iterdir()) == [
         "kept.trace.jsonl", "notes.txt", "other.trace.jsonl"]
     assert (out / "verdicts.tsv").read_text().splitlines()[1].startswith("other\t")
+
+
+def _entries(directory):
+    """Each path under `directory` -> its bytes, or None for a directory."""
+    return {str(p.relative_to(directory)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(directory.rglob("*"))}
+
+
+def _inputs(command, puzzle_file, recording_file):
+    if command == "solve":
+        return ["--puzzles", str(puzzle_file), "--seed", "1"]
+    return ["--recording", str(recording_file)]
+
+
+@pytest.mark.parametrize("command, within", [
+    ("solve", ""), ("analyze", ""), ("solve", "sub"), ("analyze", "sub/deeper"),
+])
+def test_rejects_out_that_is_a_file(puzzle_file, recording_file, tmp_path, capsys,
+                                    command, within):
+    """An `--out` that is a file, or lies under one, ends the run before
+    any work with one stderr line and exit 2, and the file is kept."""
+    taken = tmp_path / "F"
+    taken.write_text("kept")
+    out = taken / within if within else taken
+    argv = [command, *_inputs(command, puzzle_file, recording_file), "--out", str(out)]
+    assert _in_process(argv, capsys) == (
+        2, "", f"cannot write outputs to {out}: {taken} is not a directory\n")
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("solve", "verdicts.tsv"), ("solve", "summary.txt"),
+    ("solve", "traces/bk-1.trace.jsonl"), ("analyze", "quality.tsv"),
+    ("analyze", "task_stats.tsv"),
+])
+def test_rejects_output_name_that_is_a_directory(puzzle_file, recording_file, tmp_path,
+                                                 capsys, command, name):
+    """Where an output file would go and a directory stands, the run ends
+    before any work with one stderr line and exit 2, and the output
+    directory keeps exactly what an earlier run left there: no trace is
+    removed and no output is written."""
+    out = tmp_path / "o"
+    argv = [command, *_inputs(command, puzzle_file, recording_file), "--out", str(out)]
+    assert main(argv) == 0
+    for path in out.rglob("*"):  # a rewrite would now show
+        if path.is_file():
+            path.write_text("from an earlier run")
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = _entries(out)
+    assert _in_process(argv, capsys) == (
+        2, "", f"cannot write outputs to {out}: {out / name} is not a regular file\n")
+    assert _entries(out) == before
+
+
+def test_rejects_traces_that_is_a_file(puzzle_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "traces").write_text("kept")
+    argv = ["solve", "--puzzles", str(puzzle_file), "--seed", "1", "--out", str(out)]
+    assert _in_process(argv, capsys) == (
+        2, "", f"cannot write outputs to {out}: {out / 'traces'} is not a directory\n")
+    assert _entries(out) == {"traces": b"kept"}
 
 
 def test_solve_missing_file_fails(tmp_path):

@@ -1,7 +1,9 @@
 """Reasoner tests: situation enumeration, emotion scoring, budgeted
 investigation, full-width validation, and the four-phase solver."""
 
+import functools
 import json
+import operator
 import types
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from cogchess.memory import EmotionTag, LongTermMemory
 from cogchess.reasoner import (
     MAX_CANDIDATES, PROFILES, LineError, PlayerProfile, SolveLimits,
     effort_budget, enumerate_situations, investigate,
-    perceive, score_situation, solve, validate_line,
+    orient, score_situation, solve, validate_line,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -42,7 +44,7 @@ PHASE_ORDER = {"orientation": 0, "exploration": 1,
 
 def _explore(b, cap=4):
     return [model() for _, _, model in
-            enumerate_situations(b, *perceive(b, load_catalog()), cap)]
+            enumerate_situations(b, orient(b, load_catalog(), 7), cap)]
 
 
 def _situations(fen, cap=4):
@@ -100,9 +102,10 @@ def test_enumerate_matches_exhaustive_reference(cap):
     for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
         for fen in list(DESK_FENS.values()) + MOTIF_FENS:
             b = parse_fen(fen)
-            perceived = perceive(b, catalog)
-            got = enumerate_situations(b, *perceived, cap)
-            want = oracles.enumerate_situations_reference(b, *perceived, cap)
+            perception = orient(b, catalog, 7)
+            got = enumerate_situations(b, perception, cap)
+            want = oracles.enumerate_situations_reference(
+                b, perception.relations, perception.pool, perception.cover, cap)
             models = [model() for _, _, model in got]
             assert [(s.entities, s.proposed) for s in models] == [
                 (s.entities, {_board._move_to_tuple(m) for m in s.moves})
@@ -110,6 +113,29 @@ def test_enumerate_matches_exhaustive_reference(cap):
             assert [(sig, size) for sig, size, _ in got] == [
                 (oracles.situation_signature_reference(b, s), len(s.entities))
                 for s in want], fen
+
+
+def test_orient_masks_and_cover_match_piece_sets():
+    """One distinct bit per board piece, each entity's and relation's mask
+    the OR of its pieces' bits, and the cover counted on the masks equal
+    to the count on piece-id sets, on every desk-40 and motif-72 board
+    with the built-in patterns and with the sample catalog."""
+    def bits(perception, pids):
+        return functools.reduce(operator.or_, (perception.masks[pid] for pid in pids))
+
+    for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
+        for fen in list(DESK_FENS.values()) + MOTIF_FENS:
+            b = parse_fen(fen)
+            perception = orient(b, catalog, 7)
+            singles = [perception.masks[p.id] for p in b.pieces]
+            assert all(m > 0 and m & (m - 1) == 0 for m in singles), fen
+            assert len(set(singles)) == len(singles), fen
+            assert all(perception.masks[e.id] == bits(perception, e.piece_ids)
+                       for e in perception.pool), fen
+            assert perception.relation_masks == tuple(
+                bits(perception, r.entities) for r in perception.relations), fen
+            assert perception.cover == oracles.cover_reference(
+                perception.relations, perception.pool), fen
 
 
 @pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
@@ -123,6 +149,29 @@ def test_solve_builds_only_investigated_models(monkeypatch, fen, n):
     ranking = next(e for e in result.trace.events if e.event == "ranking")
     assert len(built) == result.situations_investigated
     assert len(built) < len(ranking.data["candidates"]) <= MAX_CANDIDATES
+
+
+def test_orient_masks_and_cover_match_piece_sets():
+    """One distinct bit per board piece, each entity's and relation's mask
+    the OR of its pieces' bits, and the cover counted on the masks equal
+    to the count on piece-id sets, on every desk-40 and motif-72 board
+    with the built-in patterns and with the sample catalog."""
+    def bits(perception, pids):
+        return functools.reduce(operator.or_, (perception.masks[pid] for pid in pids))
+
+    for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
+        for fen in list(DESK_FENS.values()) + MOTIF_FENS:
+            b = parse_fen(fen)
+            perception = orient(b, catalog, 7)
+            singles = [perception.masks[p.id] for p in b.pieces]
+            assert all(m > 0 and m & (m - 1) == 0 for m in singles), fen
+            assert len(set(singles)) == len(singles), fen
+            assert all(perception.masks[e.id] == bits(perception, e.piece_ids)
+                       for e in perception.pool), fen
+            assert perception.relation_masks == tuple(
+                bits(perception, r.entities) for r in perception.relations), fen
+            assert perception.cover == oracles.cover_reference(
+                perception.relations, perception.pool), fen
 
 
 @pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
@@ -140,6 +189,29 @@ def test_solve_constructs_no_square(monkeypatch, fen, n):
                    catalog=load_catalog(SAMPLE_CATALOG.read_text()))
     assert result.situations_investigated > 0 and result.trace.events
     assert made == []
+
+
+def test_orient_masks_and_cover_match_piece_sets():
+    """One distinct bit per board piece, each entity's and relation's mask
+    the OR of its pieces' bits, and the cover counted on the masks equal
+    to the count on piece-id sets, on every desk-40 and motif-72 board
+    with the built-in patterns and with the sample catalog."""
+    def bits(perception, pids):
+        return functools.reduce(operator.or_, (perception.masks[pid] for pid in pids))
+
+    for catalog in (load_catalog(), load_catalog(SAMPLE_CATALOG.read_text())):
+        for fen in list(DESK_FENS.values()) + MOTIF_FENS:
+            b = parse_fen(fen)
+            perception = orient(b, catalog, 7)
+            singles = [perception.masks[p.id] for p in b.pieces]
+            assert all(m > 0 and m & (m - 1) == 0 for m in singles), fen
+            assert len(set(singles)) == len(singles), fen
+            assert all(perception.masks[e.id] == bits(perception, e.piece_ids)
+                       for e in perception.pool), fen
+            assert perception.relation_masks == tuple(
+                bits(perception, r.entities) for r in perception.relations), fen
+            assert perception.cover == oracles.cover_reference(
+                perception.relations, perception.pool), fen
 
 
 @pytest.mark.parametrize("fen, n", [(MOTIF_FENS[0], 2), (DESK_FENS["m1-009"], 1)],
@@ -162,7 +234,7 @@ def test_solve_builds_moves_only_for_its_lines(monkeypatch, fen, n):
 def test_enumerate_rejects_bad_cap():
     b = parse_fen(MATE1_FEN)
     with pytest.raises(ValueError):
-        enumerate_situations(b, *perceive(b, []), 5)
+        enumerate_situations(b, orient(b, [], 7), 5)
 
 
 def test_score_neutral_tag_is_zero():
@@ -575,6 +647,26 @@ def test_solve_limits_reject_bad_caps(field, value, message):
 def test_solve_limits_reject_empty_budget(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
         SolveLimits(**{field: 0})
+
+
+def test_solve_reaches_each_phase_through_the_module(monkeypatch):
+    """`solve` looks `orient`, `explore` and `enumerate_situations` up on
+    the module at call time, as the benchmark's spans wrap them there, and
+    calls each once; the wrapped solve writes the same trace bytes."""
+    board = parse_fen(DESK_FENS["m2-007"])
+    unwrapped = solve(board, 2, PROFILES["neutral"], seed=3).trace.to_jsonl()
+    calls = {}
+    for name in ("orient", "explore", "enumerate_situations"):
+        real = getattr(reasoner, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reasoner, name, counted)
+    wrapped = reasoner.solve(board, 2, PROFILES["neutral"], seed=3).trace.to_jsonl()
+    assert calls == {"orient": 1, "explore": 1, "enumerate_situations": 1}
+    assert wrapped == unwrapped
 
 
 def test_solve_extracts_relations_once(monkeypatch):
