@@ -156,7 +156,8 @@ def _set_mean(frame: AUFrame, aus) -> float:
 
 
 def _mean(values: list) -> float:
-    """`sum` over the count (0.0 for none), as `compute_arousal` averages:
+    """`sum` over the count (0.0 for none): the one mean over frames or
+    frame pairs, which arousal, agitation and the task stats all take;
     running sums would drift from it in the last bits. CPython 3.11 sums
     floats left to right; 3.12 and later compensate, so there the last
     bit may differ from the goldens, which are pinned on 3.11."""
@@ -185,11 +186,8 @@ def compute_valence(frame: AUFrame, table: dict) -> float:
 
 def compute_arousal(stream: List[AUFrame], t_ms: int, table: dict) -> float:
     """Arousal-set intensity averaged over frames in [t - 60 s, t]."""
-    values = [_set_mean(f, table["arousal"]) for f in stream
-              if t_ms - AROUSAL_WINDOW_MS <= f.t_ms <= t_ms]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
+    return _mean([_set_mean(f, table["arousal"]) for f in stream
+                  if t_ms - AROUSAL_WINDOW_MS <= f.t_ms <= t_ms])
 
 
 def _sorted_times(times: List[int]) -> List[int]:
@@ -341,7 +339,7 @@ def compute_agitation(stream: List[SkeletonFrame],
     speeds = [s for s in _pair_speeds(frames, report) if s is not None]
     if not speeds:
         raise ValueError("no usable frame pairs in the window")
-    return sum(speeds) / len(speeds)
+    return _mean(speeds)
 
 
 def agitation_series(usable_frames: List[SkeletonFrame],
@@ -360,7 +358,7 @@ def agitation_series(usable_frames: List[SkeletonFrame],
     out = []
     for lo, hi in _windows([f.t_ms for f in usable_frames], AGITATION_WINDOW_MS):
         window = [s for s in speeds[lo:hi - 1] if s is not None]
-        out.append(sum(window) / len(window) if window else None)
+        out.append(_mean(window) if window else None)
     return out
 
 

@@ -11,6 +11,7 @@ tracked source with a C compiler alone, when it is importable, otherwise
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -74,6 +75,7 @@ _FEN_LETTER = {
     PieceKind.ROOK: "r", PieceKind.QUEEN: "q", PieceKind.KING: "k",
 }
 _LETTER_KIND = {v: k for k, v in _FEN_LETTER.items()}
+_FEN_CLOCK = re.compile(r"-?[0-9]+")  # ASCII digits only, unlike int()
 
 
 @dataclass(frozen=True, order=True)
@@ -343,9 +345,9 @@ def parse_fen(text: str) -> Board:
         rank = 8 - rank_i
         file = 1
         for ch in row:
-            if ch.isdigit():
+            if ch in "12345678":
                 file += int(ch)
-            elif ch.lower() in _LETTER_KIND:
+            elif ch.isascii() and ch.lower() in _LETTER_KIND:
                 if file > 8:
                     raise FenError("rank-overflow", f"rank {rank} exceeds 8 squares")
                 kind = _LETTER_KIND[ch.lower()]
@@ -404,11 +406,9 @@ def parse_fen(text: str) -> Board:
             raise FenError("bad-en-passant",
                            f"no {side.other.value} pawn passed over {ep}")
 
-    try:
-        half = int(halfmove)
-        full = int(fullmove)
-    except ValueError as exc:
-        raise FenError("bad-clock", f"non-integer clock field") from exc
+    if not (_FEN_CLOCK.fullmatch(halfmove) and _FEN_CLOCK.fullmatch(fullmove)):
+        raise FenError("bad-clock", "non-integer clock field")
+    half, full = int(halfmove), int(fullmove)
     if half < 0 or full < 1:
         raise FenError("bad-clock", f"halfmove {half}, fullmove {full}")
 

@@ -323,10 +323,8 @@ def run_analyze(args) -> None:
             analyze_session(session, table)
 
     rows = {
-        "task_stats.tsv": [
-            (s.task_id, s.t_start_ms, s.t_end_ms, s.duration_ms, s.self_touch_count,
-             s.emotion_change_count, s.mean_valence, s.mean_arousal, s.mean_pupil_mm)
-            for s in stats],
+        "task_stats.tsv": [tuple(getattr(s, c) for c in STATS_COLUMNS)
+                           for s in stats],
         "au_series.tsv": au_rows,
         "skeleton_series.tsv": skeleton_rows,
         "touch_events.tsv": touches,
@@ -411,7 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     try:
         # looked up at each call, not kept from the parser's first build,
         # so that whatever this module's `run_<command>` is now is run

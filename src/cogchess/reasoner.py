@@ -96,29 +96,29 @@ class SituationModel:
         return tuple(e.id for e in self.entities)
 
 
+# How each player style reads a recalled valence: defensive players
+# prioritize unfavorable situations, aggressive players favorable ones,
+# neutral players any strong valence.
+STYLES = {
+    "defensive": lambda v: max(0.0, -v),
+    "aggressive": lambda v: max(0.0, v),
+    "neutral": abs,
+}
+
+
 @dataclass(frozen=True)
 class PlayerProfile:
-    style: str  # defensive / aggressive / neutral
-    arousal_weight: float = 1.0
-    valence_weight: float = 1.0
+    style: str  # a key of STYLES
     base_budget: int = 3000
 
     def __post_init__(self):
-        if self.style not in ("defensive", "aggressive", "neutral"):
+        if self.style not in STYLES:
             raise ValueError(f"unknown style {self.style!r}")
-        if not (math.isfinite(self.arousal_weight) and math.isfinite(self.valence_weight)):
-            raise ValueError("weights must be finite")
-        if self.arousal_weight < 0 or self.valence_weight < 0:
-            raise ValueError("weights must be >= 0")
         if self.base_budget < 1:
             raise ValueError("base_budget must be >= 1")
 
 
-PROFILES = {
-    "defensive": PlayerProfile("defensive"),
-    "aggressive": PlayerProfile("aggressive"),
-    "neutral": PlayerProfile("neutral"),
-}
+PROFILES = {s: PlayerProfile(s) for s in STYLES}
 
 
 @dataclass(frozen=True)
@@ -346,18 +346,9 @@ def explore(board: Board, perception: Perception, ltm: LongTermMemory,
 
 
 def score_situation(tag: EmotionTag, profile: PlayerProfile) -> float:
-    """Selection priority: arousal plus a style-dependent view of valence.
-
-    Defensive players prioritize unfavorable situations, aggressive
-    players favorable ones, neutral players any strong valence.
-    """
-    if profile.style == "defensive":
-        g = max(0.0, -tag.valence)
-    elif profile.style == "aggressive":
-        g = max(0.0, tag.valence)
-    else:
-        g = abs(tag.valence)
-    return profile.arousal_weight * tag.arousal + profile.valence_weight * g
+    """Selection priority: arousal plus the profile style's view of valence
+    (`STYLES`)."""
+    return tag.arousal + STYLES[profile.style](tag.valence)
 
 
 def effort_budget(tag: EmotionTag, profile: PlayerProfile) -> int:

@@ -72,6 +72,32 @@ def test_parse_rejects_inconsistent_en_passant(fen):
     assert e.value.code == "bad-en-passant"
 
 
+@pytest.mark.parametrize("fen, code", [
+    ("4k3/\u0668/8/8/8/8/8/4K3 w - - 0 1", "bad-piece"),  # Arabic-Indic 8
+    ("4k3/08/8/8/8/8/8/4K3 w - - 0 1", "bad-piece"),
+    ("4k3/9/8/8/8/8/8/4K3 w - - 0 1", "bad-piece"),
+    ("4k3/\u00b27/8/8/8/8/8/4K3 w - - 0 1", "bad-piece"),  # superscript 2
+    ("4k3/8/8/8/8/8/8/4\u212a3 w - - 0 1", "bad-piece"),  # Kelvin sign K
+    ("4k3/8/8/8/8/8/8/4K3 w - - 1_0 1", "bad-clock"),
+    ("4k3/8/8/8/8/8/8/4K3 w - - +0 1", "bad-clock"),
+    ("4k3/8/8/8/8/8/8/4K3 w - - \u0660 1", "bad-clock"),  # Arabic-Indic 0
+    ("4k3/8/8/8/8/8/8/4K3 w - - 0 \u00b2", "bad-clock"),
+    ("4k3/8/8/8/8/8/8/4K3 w - - 0 --1", "bad-clock"),
+])
+def test_parse_reads_ascii_numbers_only(fen, code):
+    """Only ASCII `1`-`8` are empty-square runs and only ASCII piece
+    letters are pieces; a clock is ASCII `-?[0-9]+`."""
+    with pytest.raises(FenError) as e:
+        parse_fen(fen)
+    assert e.value.code == code
+
+
+def test_parse_rejects_negative_clock():
+    with pytest.raises(FenError, match="^bad-clock: halfmove -1, fullmove 1$") as e:
+        parse_fen("4k3/8/8/8/8/8/8/4K3 w - - -1 1")
+    assert e.value.code == "bad-clock"
+
+
 def test_fen_round_trip_start():
     assert emit_fen(parse_fen(START_FEN)) == START_FEN
 

@@ -436,14 +436,24 @@ def test_import_loads_no_process_pool():
 
 
 def _in_process(argv, capsys):
-    """(exit code, stdout, stderr) of `main(argv)` in this process, with
-    argparse's SystemExit taken as the exit code."""
+    """(exit code, stdout, stderr) of `main(argv)` in this process."""
     capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--bogus", "1"], 2), (["analyze", "--out"], 2), ([], 2), (["nope"], 2),
+    (["--help"], 0), (["trace", "--help"], 0),
+])
+def test_main_returns_argparse_exit_code(argv, code, capsys):
+    """A usage error and --help end `main` with argparse's exit code,
+    returned, not raised, so an in-process caller that catches only
+    `Exception` goes on."""
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: cogchess")
 
 
 def _files(directory):

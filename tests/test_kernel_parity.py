@@ -9,7 +9,6 @@ tests skip only when that build fails.
 
 import importlib.util
 import json
-import os
 import random
 import re
 import subprocess
@@ -29,11 +28,10 @@ DATA = ROOT / "tests" / "data"
 
 
 def _build_kernel(out: Path):
-    env = {k: v for k, v in os.environ.items() if k != "COGCHESS_PURE"}
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
          "--build-temp", str(out)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
     built = sorted((out / "cogchess").glob("_movegen.*"))
     if proc.returncode != 0 or not built:
         pytest.skip(f"compiled kernel did not build: {proc.stderr.strip()}")
