@@ -27,6 +27,21 @@ enum { EMPTY, WP, WN, WB, WR, WQ, WK, BP, BN, BB, BR, BQ, BK };
 enum { FLAG_CAPTURE = 1, FLAG_CASTLE_K = 2, FLAG_CASTLE_Q = 4,
        FLAG_EP = 8, FLAG_DOUBLE = 16 };
 enum { CASTLE_WK = 1, CASTLE_WQ = 2, CASTLE_BK = 4, CASTLE_BQ = 8 };
+#define CASTLE_FLAGS (FLAG_CASTLE_K | FLAG_CASTLE_Q)
+
+/* The pure kernel's `_CASTLES` in one array: the side to move's king side
+   at 2 * stm and its queen side at 2 * stm + 1, each the rights bit, the
+   move's flag, and the king's and the rook's home and target squares. The
+   squares strictly between king and rook must be empty; the rook's target
+   is the square the king crosses, so it and the king's square must not be
+   attacked. */
+static const struct {
+    int right, flag, king, king_to, rook, rook_to;
+} CASTLES[4] = {
+    {CASTLE_WK, FLAG_CASTLE_K, 4, 6, 7, 5}, {CASTLE_WQ, FLAG_CASTLE_Q, 4, 2, 0, 3},
+    {CASTLE_BK, FLAG_CASTLE_K, 60, 62, 63, 61},
+    {CASTLE_BQ, FLAG_CASTLE_Q, 60, 58, 56, 59},
+};
 
 static const int KNIGHT[8][2] = {
     {1, 2}, {2, 1}, {2, -1}, {1, -2}, {-1, -2}, {-2, -1}, {-2, 1}, {-1, 2}};
@@ -259,25 +274,16 @@ static int _pseudo_moves(const unsigned char *sq, int stm, int castling,
         }
     }
 
-    /* Castling: rights bit, rook home, empty between, king and transit not attacked. */
-    if (white) {
-        if ((castling & CASTLE_WK) && sq[4] == WK && sq[7] == WR
-                && sq[5] == EMPTY && sq[6] == EMPTY
-                && !attacked(sq, 4, 0) && !attacked(sq, 5, 0))
-            out[n++] = MOVE(4, 6, 0, FLAG_CASTLE_K);
-        if ((castling & CASTLE_WQ) && sq[4] == WK && sq[0] == WR
-                && sq[1] == EMPTY && sq[2] == EMPTY && sq[3] == EMPTY
-                && !attacked(sq, 4, 0) && !attacked(sq, 3, 0))
-            out[n++] = MOVE(4, 2, 0, FLAG_CASTLE_Q);
-    } else {
-        if ((castling & CASTLE_BK) && sq[60] == BK && sq[63] == BR
-                && sq[61] == EMPTY && sq[62] == EMPTY
-                && !attacked(sq, 60, 1) && !attacked(sq, 61, 1))
-            out[n++] = MOVE(60, 62, 0, FLAG_CASTLE_K);
-        if ((castling & CASTLE_BQ) && sq[60] == BK && sq[56] == BR
-                && sq[57] == EMPTY && sq[58] == EMPTY && sq[59] == EMPTY
-                && !attacked(sq, 60, 1) && !attacked(sq, 59, 1))
-            out[n++] = MOVE(60, 58, 0, FLAG_CASTLE_Q);
+    /* castling, as `CASTLES` states it */
+    for (j = 2 * stm; castling && j < 2 * stm + 2; j++) {
+        int k = CASTLES[j].king, r = CASTLES[j].rook;
+        int lo = k < r ? k : r, hi = k + r - lo, s = lo + 1;
+        while (s < hi && sq[s] == EMPTY)
+            s++;
+        if ((castling & CASTLES[j].right) && sq[k] == (white ? WK : BK)
+                && sq[r] == (white ? WR : BR) && s == hi && !attacked(sq, k, !white)
+                && !attacked(sq, CASTLES[j].rook_to, !white))
+            out[n++] = MOVE(k, CASTLES[j].king_to, 0, CASTLES[j].flag);
     }
     return n;
 }
@@ -294,26 +300,13 @@ static void _make(unsigned char *arr, int stm, int frm, int to, int promo,
         arr[to] = (unsigned char)(white ? promo : promo + 6);
     else
         arr[to] = (unsigned char)p;
-    if (flags & FLAG_CASTLE_K) {
-        if (white) {
-            arr[7] = EMPTY;
-            arr[5] = WR;
-        } else {
-            arr[63] = EMPTY;
-            arr[61] = BR;
-        }
-    } else if (flags & FLAG_CASTLE_Q) {
-        if (white) {
-            arr[0] = EMPTY;
-            arr[3] = WR;
-        } else {
-            arr[56] = EMPTY;
-            arr[59] = BR;
-        }
+    if (flags & CASTLE_FLAGS) {
+        int j = 2 * stm + !(flags & FLAG_CASTLE_K);
+        arr[CASTLES[j].rook] = EMPTY;
+        arr[CASTLES[j].rook_to] = white ? WR : BR;
     }
 }
 
-#define CASTLE_FLAGS (FLAG_CASTLE_K | FLAG_CASTLE_Q)
 /* Moves that are always made on a copy and tested with `attacked`: en
    passant empties two squares of one rank, and castling moves the king. */
 #define FULL_TEST_FLAGS (FLAG_EP | CASTLE_FLAGS)
@@ -558,20 +551,14 @@ static int _gives_check(const unsigned char *sq, int stm, int king,
            || (opens[frm] && !(opens[frm] & BIT(to)));
 }
 
+/* `castling` without the rights a move from `frm` to `to` takes away: a
+   king or rook leaving its home square, or a capture on a rook's. */
 static int _update_castling(int castling, int frm, int to)
 {
-    if (frm == 4)
-        castling &= ~(CASTLE_WK | CASTLE_WQ);
-    else if (frm == 60)
-        castling &= ~(CASTLE_BK | CASTLE_BQ);
-    if (frm == 0 || to == 0)
-        castling &= ~CASTLE_WQ;
-    if (frm == 7 || to == 7)
-        castling &= ~CASTLE_WK;
-    if (frm == 56 || to == 56)
-        castling &= ~CASTLE_BQ;
-    if (frm == 63 || to == 63)
-        castling &= ~CASTLE_BK;
+    int j;
+    for (j = 0; castling && j < 4; j++)
+        if (frm == CASTLES[j].king || frm == CASTLES[j].rook || to == CASTLES[j].rook)
+            castling &= ~CASTLES[j].right;
     return castling;
 }
 

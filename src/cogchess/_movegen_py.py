@@ -29,6 +29,19 @@ FLAG_EP = 8
 FLAG_DOUBLE = 16
 
 CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
+_CASTLE_FLAGS = FLAG_CASTLE_K | FLAG_CASTLE_Q
+
+# Castling (Chess Programming Wiki, "Castling"), per side to move its king
+# side and then its queen side, each `(right, flag, king, king_to, rook,
+# rook_to)`: the rights bit, the move's flag, and the king's and the
+# rook's home and target squares. The squares strictly between king and
+# rook must be empty; the rook's target is the square the king crosses, so
+# it and the king's square must not be attacked.
+_CASTLES = (
+    ((CASTLE_WK, FLAG_CASTLE_K, 4, 6, 7, 5), (CASTLE_WQ, FLAG_CASTLE_Q, 4, 2, 0, 3)),
+    ((CASTLE_BK, FLAG_CASTLE_K, 60, 62, 63, 61),
+     (CASTLE_BQ, FLAG_CASTLE_Q, 60, 58, 56, 59)),
+)
 
 _KNIGHT = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
 _KING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -292,25 +305,15 @@ def _pseudo_moves(sq, stm, castling, ep):
                         moves.append((i, to, 0, FLAG_CAPTURE))
                     break
 
-    # Castling: rights bit, rook home, empty between, king and transit not attacked.
-    if white:
-        if (castling & CASTLE_WK) and sq[4] == WK and sq[7] == WR \
-                and sq[5] == EMPTY and sq[6] == EMPTY \
-                and not _attacked(sq, 4, False) and not _attacked(sq, 5, False):
-            moves.append((4, 6, 0, FLAG_CASTLE_K))
-        if (castling & CASTLE_WQ) and sq[4] == WK and sq[0] == WR \
-                and sq[1] == EMPTY and sq[2] == EMPTY and sq[3] == EMPTY \
-                and not _attacked(sq, 4, False) and not _attacked(sq, 3, False):
-            moves.append((4, 2, 0, FLAG_CASTLE_Q))
-    else:
-        if (castling & CASTLE_BK) and sq[60] == BK and sq[63] == BR \
-                and sq[61] == EMPTY and sq[62] == EMPTY \
-                and not _attacked(sq, 60, True) and not _attacked(sq, 61, True):
-            moves.append((60, 62, 0, FLAG_CASTLE_K))
-        if (castling & CASTLE_BQ) and sq[60] == BK and sq[56] == BR \
-                and sq[57] == EMPTY and sq[58] == EMPTY and sq[59] == EMPTY \
-                and not _attacked(sq, 60, True) and not _attacked(sq, 59, True):
-            moves.append((60, 58, 0, FLAG_CASTLE_Q))
+    # castling, as `_CASTLES` states it
+    if castling:
+        king, rook = (WK, WR) if white else (BK, BR)
+        for right, flag, k, k_to, r, r_to in _CASTLES[stm]:
+            if castling & right and sq[k] == king and sq[r] == rook \
+                    and not any(sq[min(k, r) + 1:max(k, r)]) \
+                    and not _attacked(sq, k, not white) \
+                    and not _attacked(sq, r_to, not white):
+                moves.append((k, k_to, 0, flag))
     return moves
 
 
@@ -325,23 +328,12 @@ def _make(arr, stm, frm, to, promo, flags):
         arr[to] = promo if white else promo + 6
     else:
         arr[to] = p
-    if flags & FLAG_CASTLE_K:
-        if white:
-            arr[7] = EMPTY
-            arr[5] = WR
-        else:
-            arr[63] = EMPTY
-            arr[61] = BR
-    elif flags & FLAG_CASTLE_Q:
-        if white:
-            arr[0] = EMPTY
-            arr[3] = WR
-        else:
-            arr[56] = EMPTY
-            arr[59] = BR
+    if flags & _CASTLE_FLAGS:
+        rook, rook_to = _CASTLES[stm][not flags & FLAG_CASTLE_K][4:]
+        arr[rook] = EMPTY
+        arr[rook_to] = WR if white else BR
 
 
-_CASTLE_FLAGS = FLAG_CASTLE_K | FLAG_CASTLE_Q
 # Moves that are always made on a copy and tested with `_attacked`: en
 # passant empties two squares of one rank, and castling moves the king.
 _FULL_TEST_FLAGS = FLAG_EP | _CASTLE_FLAGS
@@ -584,18 +576,13 @@ def checking_moves(sq, stm, castling, ep, moves):
 
 
 def _update_castling(castling, frm, to):
-    if frm == 4:
-        castling &= ~(CASTLE_WK | CASTLE_WQ)
-    elif frm == 60:
-        castling &= ~(CASTLE_BK | CASTLE_BQ)
-    if frm == 0 or to == 0:
-        castling &= ~CASTLE_WQ
-    if frm == 7 or to == 7:
-        castling &= ~CASTLE_WK
-    if frm == 56 or to == 56:
-        castling &= ~CASTLE_BQ
-    if frm == 63 or to == 63:
-        castling &= ~CASTLE_BK
+    """`castling` without the rights a move from `frm` to `to` takes away:
+    a king or rook leaving its home square, or a capture on a rook's."""
+    if castling:
+        for rows in _CASTLES:
+            for right, _, king, _, rook, _ in rows:
+                if frm == king or frm == rook or to == rook:
+                    castling &= ~right
     return castling
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from ._movegen_py import _CASTLES
+
 if os.environ.get("COGCHESS_PURE") == "1":
     from . import _movegen_py as _mg
     KERNEL = "python"
@@ -344,8 +346,10 @@ def parse_fen(text: str) -> Board:
     for rank_i, row in enumerate(ranks):
         rank = 8 - rank_i
         file = 1
-        for ch in row:
+        for i, ch in enumerate(row):
             if ch in "12345678":
+                if i and row[i - 1] in "12345678":
+                    raise FenError("adjacent-runs", f"rank {rank} has adjacent digits")
                 file += int(ch)
             elif ch.isascii() and ch.lower() in _LETTER_KIND:
                 if file > 8:
@@ -375,18 +379,16 @@ def parse_fen(text: str) -> Board:
 
     if castling != "-" and (not castling or any(c not in "KQkq" for c in castling)):
         raise FenError("bad-castling", f"bad castling field {castling!r}")
-    rights = CastlingRights(
-        white_short="K" in castling, white_long="Q" in castling,
-        black_short="k" in castling, black_long="q" in castling)
-    # Drop rights that the placement cannot support (normalization).
+    # Keep a right only while its king and rook stand on their home squares
+    # (normalization); the kernel's castling table names them.
     at = {p.square.index: (p.kind, p.color) for p in pieces}
-    wk_home = at.get(4) == (PieceKind.KING, Color.WHITE)
-    bk_home = at.get(60) == (PieceKind.KING, Color.BLACK)
-    rights = CastlingRights(
-        white_short=rights.white_short and wk_home and at.get(7) == (PieceKind.ROOK, Color.WHITE),
-        white_long=rights.white_long and wk_home and at.get(0) == (PieceKind.ROOK, Color.WHITE),
-        black_short=rights.black_short and bk_home and at.get(63) == (PieceKind.ROOK, Color.BLACK),
-        black_long=rights.black_long and bk_home and at.get(56) == (PieceKind.ROOK, Color.BLACK))
+    mask = 0
+    for letter, (right, _, king, _, rook, _) in zip("KQkq", _CASTLES[0] + _CASTLES[1]):
+        color = Color.WHITE if letter.isupper() else Color.BLACK
+        if letter in castling and at.get(king) == (PieceKind.KING, color) \
+                and at.get(rook) == (PieceKind.ROOK, color):
+            mask |= right
+    rights = CastlingRights.from_mask(mask)
 
     ep_sq: Optional[Square] = None
     if ep != "-":

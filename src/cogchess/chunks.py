@@ -128,6 +128,11 @@ def _check_keys(enc: dict, known, pattern: str, where: str) -> None:
             raise CatalogError(pattern, f"{where}{key}", "unknown key")
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_pattern(enc: dict) -> ChunkPattern:
     name = enc.get("name")
     if not isinstance(name, str) or not name:
@@ -163,7 +168,7 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
                 raise CatalogError(name, "slots[0].offset", "anchor slot takes no offset")
         else:
             if (not isinstance(offset, (list, tuple)) or len(offset) != 2
-                    or not all(isinstance(v, int) for v in offset)):
+                    or not all(_is_int(v) for v in offset)):
                 raise CatalogError(name, f"slots[{i}].offset",
                                    "offset must be a [file, rank] integer pair")
             offset = (offset[0], offset[1])
@@ -184,7 +189,7 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
             raise CatalogError(name, f"relations[{j}]", "pins takes two objects")
         refs = [c[0]] + c[2:]
         for ref in refs:
-            if not isinstance(ref, int) or not (0 <= ref < len(slots)):
+            if not _is_int(ref) or not (0 <= ref < len(slots)):
                 raise CatalogError(name, f"relations[{j}]",
                                    f"constraint references undeclared slot {ref!r}")
         constraints.append(tuple(c))
@@ -192,7 +197,7 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
     # a match fills every slot, so `min_pieces` cannot change one; it is
     # still checked, as every other field of the document is
     min_pieces = enc.get("min_pieces", len(slots))
-    if not isinstance(min_pieces, int) or min_pieces < 2 or min_pieces > len(slots):
+    if not _is_int(min_pieces) or min_pieces < 2 or min_pieces > len(slots):
         raise CatalogError(name, "min_pieces",
                            f"must be an integer in 2..{len(slots)}")
     return ChunkPattern(name, role, tuple(slots), tuple(constraints))

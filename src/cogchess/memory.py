@@ -156,6 +156,16 @@ class EmotionTag:
 NEUTRAL_TAG = EmotionTag()
 
 
+def _number(doc: dict, key: str, integer: bool = False):
+    """`doc[key]`, or ValueError unless it is a number (with `integer`,
+    an int); a bool is neither."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"malformed long-term memory: {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 class LongTermMemory:
     """Signature -> EmotionTag store with EMA updates."""
 
@@ -213,10 +223,11 @@ class LongTermMemory:
         if doc.get("ltm_version") != LTM_VERSION:
             raise ValueError(f"unsupported ltm_version {doc.get('ltm_version')!r}")
         try:
-            ltm = cls(alpha=doc["alpha"], k=doc["k"])
+            ltm = cls(alpha=_number(doc, "alpha"), k=_number(doc, "k", True))
             for key, t in doc["entries"].items():
-                ltm.entries[key] = EmotionTag(t["valence"], t["arousal"],
-                                              t["dominance"], t["visits"])
+                ltm.entries[key] = EmotionTag(
+                    _number(t, "valence"), _number(t, "arousal"),
+                    _number(t, "dominance"), _number(t, "visits", True))
         except KeyError as exc:
             raise ValueError(f"long-term memory missing {exc.args[0]!r}") from None
         except (AttributeError, TypeError) as exc:

@@ -83,10 +83,12 @@ def test_parse_rejects_inconsistent_en_passant(fen):
     ("4k3/8/8/8/8/8/8/4K3 w - - \u0660 1", "bad-clock"),  # Arabic-Indic 0
     ("4k3/8/8/8/8/8/8/4K3 w - - 0 \u00b2", "bad-clock"),
     ("4k3/8/8/8/8/8/8/4K3 w - - 0 --1", "bad-clock"),
+    ("4k3/44/8/8/8/8/8/4K3 w - - 0 1", "adjacent-runs"),
+    ("4k3/1111p111/8/8/8/8/8/4K3 w - - 0 1", "adjacent-runs"),
 ])
 def test_parse_reads_ascii_numbers_only(fen, code):
-    """Only ASCII `1`-`8` are empty-square runs and only ASCII piece
-    letters are pieces; a clock is ASCII `-?[0-9]+`."""
+    """Only ASCII `1`-`8` are empty-square runs, never two in a row, and
+    only ASCII piece letters are pieces; a clock is ASCII `-?[0-9]+`."""
     with pytest.raises(FenError) as e:
         parse_fen(fen)
     assert e.value.code == code

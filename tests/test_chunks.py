@@ -114,6 +114,11 @@ def test_catalog_accepts_min_pieces_in_range():
      ("p", "slots[0].kinds")),
     ([{"name": "p", "slots": [{"kind": "pawn"}, {"kind": "pawn", "ofset": [1, 1]}]}],
      ("p", "slots[1].ofset")),
+    # a bool is not an integer, though Python's `int` says it is
+    ([{"name": "p", "slots": [{"kind": "pawn"}, {"kind": "pawn", "offset": [True, 1]}]}],
+     ("p", "slots[1].offset")),
+    ([{"name": "p", "slots": [{"kind": "pawn"}, {"kind": "pawn", "offset": [1, 1]}],
+       "relations": [[0, "protects", True]]}], ("p", "relations[0]")),
 ])
 def test_catalog_rejects_malformed_entries(patterns, where):
     with pytest.raises(CatalogError) as e:

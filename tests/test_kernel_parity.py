@@ -464,6 +464,67 @@ def test_entries_agree_on_random_squares(compiled):
             assert _outcome(getattr(compiled, name), args(sq)) == want, (name, sq)
 
 
+# Each side's king and rooks on their home squares, and the squares
+# between them, which `_castling_squares` clears.
+CASTLING_HOMES = {4: pure.WK, 0: pure.WR, 7: pure.WR,
+                  60: pure.BK, 56: pure.BR, 63: pure.BR}
+CASTLING_BETWEEN = (1, 2, 3, 5, 6, 57, 58, 59, 61, 62)
+CASTLE_FLAGS = pure.FLAG_CASTLE_K | pure.FLAG_CASTLE_Q
+# The four castling moves as `(frm, to, flags)`, and two with both flags
+# set, which castle king side.
+CASTLING_MOVES = ((4, 6, pure.FLAG_CASTLE_K), (4, 2, pure.FLAG_CASTLE_Q),
+                  (60, 62, pure.FLAG_CASTLE_K), (60, 58, pure.FLAG_CASTLE_Q),
+                  (4, 6, CASTLE_FLAGS), (60, 58, CASTLE_FLAGS))
+
+
+def _castling_squares(rng, n):
+    """`n` random boards of piece codes, a fifth of them pieces other than
+    a king, with each king and rook on its home square and the squares
+    between them empty. Then each of those squares gets a random code one
+    time in eight, so that a rook is missing or a path is blocked."""
+    fill = (pure.EMPTY,) * 40 + tuple(c for c in range(pure.WP, pure.BK + 1)
+                                      if c not in (pure.WK, pure.BK))
+    for _ in range(n):
+        sq = bytearray(rng.choice(fill) for _ in range(64))
+        for s in CASTLING_BETWEEN:
+            sq[s] = pure.EMPTY
+        for s, code in CASTLING_HOMES.items():
+            sq[s] = code
+        for s in (*CASTLING_HOMES, *CASTLING_BETWEEN):
+            if rng.randrange(8) == 0:
+                sq[s] = rng.randrange(pure.BK + 1)
+        yield bytes(sq)
+
+
+def test_castling_agrees_on_random_boards(compiled):
+    """Both kernels generate castling, make it and take the rights away
+    alike, on random boards with the kings and rooks at home, for every
+    rights mask and either side to move. Each castling move is applied
+    with either side to move, and with all four rights every legal move
+    is, so that rook moves and captures on a rook's home square are made
+    too. An error counts as a result."""
+    rng = random.Random(73)
+    castles = 0
+    for sq in _castling_squares(rng, 300):
+        for stm in (0, 1):
+            for mask in range(16):
+                st = (sq, stm, mask, -1)
+                moves = _outcome(pure.legal_moves, st)
+                assert _outcome(compiled.legal_moves, st) == moves, st
+                assert (_outcome(compiled.has_legal_move, st)
+                        == _outcome(pure.has_legal_move, st)), st
+                if isinstance(moves, list):
+                    castles += sum(1 for m in moves if m[3] & CASTLE_FLAGS)
+                applied = [(frm, to, 0, flags) for frm, to, flags in CASTLING_MOVES]
+                if mask == 15 and isinstance(moves, list):
+                    applied += moves
+                for move in applied:
+                    args = st + (0, 1) + move
+                    want = _outcome(pure.apply_move, args)
+                    assert _outcome(compiled.apply_move, args) == want, args
+    assert castles > 1000  # the boards are not short of castling moves
+
+
 @ENTRY_NAMES
 def test_rejects_squares_with_a_byte_above_12(kernel, name):
     """A squares byte is EMPTY or a piece code; the first one above 12 is

@@ -238,6 +238,31 @@ def test_persistence_rejects_bad_version():
     ({"ltm_version": 1, "alpha": 0.3, "k": 5,
       "entries": {"s": {"valence": 0.0, "arousal": 0.0, "visits": 0}}},
      "long-term memory missing 'dominance'"),
+    # a bool is not a number, and `k` and `visits` are integers
+    ({"ltm_version": 1, "alpha": True, "k": 5, "entries": {}},
+     "malformed long-term memory: 'alpha' must be a number, got True"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": True, "entries": {}},
+     "malformed long-term memory: 'k' must be an integer, got True"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5.0, "entries": {}},
+     "malformed long-term memory: 'k' must be an integer, got 5.0"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": True, "arousal": 0.0, "dominance": 0.0, "visits": 0}}},
+     "malformed long-term memory: 'valence' must be a number, got True"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": 0.0, "arousal": False, "dominance": 0.0, "visits": 0}}},
+     "malformed long-term memory: 'arousal' must be a number, got False"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": 0.0, "arousal": 0.0, "dominance": True, "visits": 0}}},
+     "malformed long-term memory: 'dominance' must be a number, got True"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": 0.0, "arousal": 0.0, "dominance": 0.0, "visits": 1.5}}},
+     "malformed long-term memory: 'visits' must be an integer, got 1.5"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": 0.0, "arousal": 0.0, "dominance": 0.0, "visits": True}}},
+     "malformed long-term memory: 'visits' must be an integer, got True"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": "0", "arousal": 0.0, "dominance": 0.0, "visits": 0}}},
+     "malformed long-term memory: 'valence' must be a number, got '0'"),
 ])
 def test_persistence_rejects_malformed_document(doc, message):
     with pytest.raises(ValueError) as e:
