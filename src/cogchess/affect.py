@@ -26,6 +26,8 @@ from operator import itemgetter
 from typing import List, Optional, Tuple
 
 AU_TABLE_VERSION = 1
+# The keys the loader reads; any other key is rejected, not ignored.
+AU_TABLE_KEYS = ("table_version", "emotions", "positive", "negative", "arousal")
 
 EMOTION_LABELS = ("happiness", "sadness", "anger", "fear", "disgust",
                   "surprise", "neutral")
@@ -139,6 +141,9 @@ def load_au_table(source=None) -> dict:
                 isinstance(au, int) and not isinstance(au, bool) for au in aus)):
             raise ValueError(f"mapping table {name} must be a list of AU numbers, "
                              f"got {aus!r}")
+    for key in table:
+        if key not in AU_TABLE_KEYS:
+            raise ValueError(f"mapping table has unknown key {key!r}")
     return table
 
 

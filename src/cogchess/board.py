@@ -205,12 +205,25 @@ class CastlingRights:
         return s or "-"
 
 
+def _legal_tuple(state, key):
+    """The kernel's legal move tuple of `state` whose `(frm, to, promo)`
+    is `key`, or None. The kernel is looked up on this module at call
+    time, so whatever wraps `_mg` sees the call."""
+    for t in _mg.legal_moves(*state[:4]):
+        if t[:3] == key:
+            return t
+    return None
+
+
 @dataclass(frozen=True)
 class Board:
     """Full chess state. Equality is positional (piece ids are ignored).
 
-    `_squares` holds each square's kernel piece code and `_by_index` maps
-    each occupied square's index to its piece; both are built once, here.
+    `_squares` holds each square's kernel piece code, `_by_index` maps
+    each occupied square's index to its piece, and `_state` is the
+    kernel's position `(squares, stm, castling mask, ep, halfmove,
+    fullmove)`, which every kernel call and the solver read; all three
+    are built once, here.
     """
 
     pieces: tuple = field(compare=False)
@@ -221,6 +234,7 @@ class Board:
     fullmove_number: int
     _squares: bytes = field(init=False, repr=False)
     _by_index: dict = field(init=False, repr=False, compare=False)
+    _state: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = bytearray(64)
@@ -231,16 +245,20 @@ class Board:
             by_index[i] = p
         object.__setattr__(self, "_squares", bytes(arr))
         object.__setattr__(self, "_by_index", by_index)
+        object.__setattr__(self, "_state", (
+            self._squares, 0 if self.side_to_move is Color.WHITE else 1,
+            self.castling.mask, self.en_passant.index if self.en_passant else -1,
+            self.halfmove_clock, self.fullmove_number))
 
     # -- kernel plumbing ---------------------------------------------------
 
     @property
     def _stm(self) -> int:
-        return 0 if self.side_to_move is Color.WHITE else 1
+        return self._state[1]
 
     @property
     def _ep(self) -> int:
-        return self.en_passant.index if self.en_passant else -1
+        return self._state[3]
 
     def piece_at(self, square: Square) -> Optional[Piece]:
         return self._by_index.get(square.index)
@@ -249,30 +267,23 @@ class Board:
 
     def legal_moves(self) -> list:
         """All legal moves, in deterministic (from, to, promotion) order."""
-        raw = _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep)
-        return [_move_from_tuple(t) for t in raw]
+        return [_move_from_tuple(t) for t in _mg.legal_moves(*self._state[:4])]
 
     def apply_move(self, move: Move) -> "Board":
-        """Apply a legal move, returning the successor board."""
-        key = _move_to_tuple(move)
-        for t in _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep):
-            if t[:3] == key:
-                return self._apply_raw(t)
-        raise IllegalMoveError(f"illegal move {move.uci} in {emit_fen(self)}")
+        """Apply a legal move, returning the successor board.
 
-    def _apply_raw(self, t) -> "Board":
-        """The successor after the kernel's legal move tuple `t`.
-
-        The kernel makes the move; here piece ids only follow it. A piece
-        stays where its square keeps its code. A square that gains a piece
-        gets the mover at the move's target (a promoted pawn under a new
-        id) and otherwise the piece that left a square with that code
-        (the castling rook).
+        The kernel makes the move, found by its key among the legal move
+        tuples; here piece ids only follow it. A piece stays where its
+        square keeps its code. A square that gains a piece gets the mover
+        at the move's target (a promoted pawn under a new id) and
+        otherwise the piece that left a square with that code (the
+        castling rook).
         """
+        t = _legal_tuple(self._state, _move_to_tuple(move))
+        if t is None:
+            raise IllegalMoveError(f"illegal move {move.uci} in {emit_fen(self)}")
         frm, to, _, _ = t
-        nsq, nstm, ncast, nep, nhalf, nfull = _mg.apply_move(
-            self._squares, self._stm, self.castling.mask, self._ep,
-            self.halfmove_clock, self.fullmove_number, *t)
+        nsq, nstm, ncast, nep, nhalf, nfull = _mg.apply_move(*self._state, *t)
         old = self._squares
         by_index = self._by_index
         left = {old[i]: p for i, p in by_index.items() if nsq[i] != old[i]}
@@ -301,15 +312,14 @@ class Board:
         return _mg.in_check(self._squares, self.side_to_move is Color.WHITE)
 
     def game_status(self) -> GameStatus:
-        has_moves = _mg.has_legal_move(self._squares, self._stm,
-                                       self.castling.mask, self._ep)
+        has_moves = _mg.has_legal_move(*self._state[:4])
         if self.in_check():
             return GameStatus.CHECK if has_moves else GameStatus.CHECKMATE
         return GameStatus.ONGOING if has_moves else GameStatus.STALEMATE
 
     def perft(self, depth: int) -> int:
         """Leaf count of the legal game tree at exactly `depth`."""
-        return _mg.perft(self._squares, self._stm, self.castling.mask, self._ep, depth)
+        return _mg.perft(*self._state[:4], depth)
 
     def attack_squares(self, square: Square) -> list:
         """Squares attacked by the piece on `square` (pawn capture squares only)."""
@@ -322,11 +332,10 @@ class Board:
 
     def find_move(self, uci: str) -> Move:
         """Look up a legal move by UCI string."""
-        key = _uci_key(uci)
-        for t in _mg.legal_moves(self._squares, self._stm, self.castling.mask, self._ep):
-            if t[:3] == key:
-                return _move_from_tuple(t)
-        raise IllegalMoveError(f"no legal move {uci!r} in {emit_fen(self)}")
+        t = _legal_tuple(self._state, _uci_key(uci))
+        if t is None:
+            raise IllegalMoveError(f"no legal move {uci!r} in {emit_fen(self)}")
+        return _move_from_tuple(t)
 
 
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
@@ -377,7 +386,9 @@ def parse_fen(text: str) -> Board:
         raise FenError("bad-side", f"side to move must be w or b, got {active!r}")
     side = Color.WHITE if active == "w" else Color.BLACK
 
-    if castling != "-" and (not castling or any(c not in "KQkq" for c in castling)):
+    # `-`, or some of K, Q, k and q, each at most once and in that order
+    # (a FEN field is never empty)
+    if not re.fullmatch(r"-|K?Q?k?q?", castling):
         raise FenError("bad-castling", f"bad castling field {castling!r}")
     # Keep a right only while its king and rook stand on their home squares
     # (normalization); the kernel's castling table names them.

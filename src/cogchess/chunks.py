@@ -38,7 +38,7 @@ CATALOG_VERSION = 1
 
 # The keys the loader reads; any other key is rejected, not ignored.
 DOCUMENT_KEYS = ("catalog_version", "patterns")
-PATTERN_KEYS = ("name", "color_role", "slots", "relations", "min_pieces")
+PATTERN_KEYS = ("name", "color_role", "slots", "relations")
 SLOT_KEYS = ("kind", "offset")
 
 
@@ -193,13 +193,6 @@ def _parse_pattern(enc: dict) -> ChunkPattern:
                 raise CatalogError(name, f"relations[{j}]",
                                    f"constraint references undeclared slot {ref!r}")
         constraints.append(tuple(c))
-
-    # a match fills every slot, so `min_pieces` cannot change one; it is
-    # still checked, as every other field of the document is
-    min_pieces = enc.get("min_pieces", len(slots))
-    if not _is_int(min_pieces) or min_pieces < 2 or min_pieces > len(slots):
-        raise CatalogError(name, "min_pieces",
-                           f"must be an integer in 2..{len(slots)}")
     return ChunkPattern(name, role, tuple(slots), tuple(constraints))
 
 

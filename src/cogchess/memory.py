@@ -34,6 +34,10 @@ DEFAULT_CAPACITY = 7
 DEFAULT_ALPHA = 0.3
 DEFAULT_DOMINANCE_K = 5
 LTM_VERSION = 1
+# The keys of a long-term memory document and of each of its entries (an
+# `EmotionTag`'s fields, in order); `LongTermMemory.load` rejects any other.
+LTM_KEYS = ("ltm_version", "alpha", "k", "entries")
+LTM_ENTRY_KEYS = ("valence", "arousal", "dominance", "visits")
 
 
 @dataclass
@@ -208,8 +212,7 @@ class LongTermMemory:
             "alpha": self.alpha,
             "k": self.k,
             "entries": {
-                key: {"valence": t.valence, "arousal": t.arousal,
-                      "dominance": t.dominance, "visits": t.visits}
+                key: {name: getattr(t, name) for name in LTM_ENTRY_KEYS}
                 for key, t in sorted(self.entries.items())
             },
         }
@@ -226,12 +229,15 @@ class LongTermMemory:
             ltm = cls(alpha=_number(doc, "alpha"), k=_number(doc, "k", True))
             for key, t in doc["entries"].items():
                 ltm.entries[key] = EmotionTag(
-                    _number(t, "valence"), _number(t, "arousal"),
-                    _number(t, "dominance"), _number(t, "visits", True))
+                    *(_number(t, name, name == "visits") for name in LTM_ENTRY_KEYS))
         except KeyError as exc:
             raise ValueError(f"long-term memory missing {exc.args[0]!r}") from None
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"malformed long-term memory: {exc}") from None
+        unknown = [key for key in doc if key not in LTM_KEYS] + [
+            key for t in doc["entries"].values() for key in t if key not in LTM_ENTRY_KEYS]
+        if unknown:
+            raise ValueError(f"malformed long-term memory: unknown key {unknown[0]!r}")
         return ltm
 
 

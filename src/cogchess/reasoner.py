@@ -41,7 +41,7 @@ from typing import Optional
 
 from . import board as _board
 from .board import (
-    Board, Color, Move, _move_from_tuple, _move_to_tuple, _uci_key, emit_fen,
+    Board, Color, Move, _legal_tuple, _move_from_tuple, _move_to_tuple, _uci_key, emit_fen,
 )
 from .chunks import ChunkInstance, load_catalog, recognize_chunks
 from .memory import (
@@ -292,7 +292,7 @@ def enumerate_situations(board: Board, perception: Perception,
     # in id order, index tuples of combinations sort as their id tuples do
     selected.sort(key=lambda e: e.id)
 
-    legal = _board._mg.legal_moves(*_state(board)[:4])
+    legal = _board._mg.legal_moves(*board._state[:4])
     move_masks = [masks[board._by_index[m[0]].id] for m in legal]
     movers = functools.reduce(operator.or_, move_masks, 0)
     entity_masks = [masks[e.id] for e in selected]
@@ -358,11 +358,12 @@ def effort_budget(tag: EmotionTag, profile: PlayerProfile) -> int:
 
 # -- investigation -------------------------------------------------------------
 #
-# The search and the validation run on the raw kernel state
-# (squares, stm, castling, ep, halfmove, fullmove) and on the kernel's
-# (frm, to, promo, flags) move tuples; Move objects are built only for the
-# returned line. The kernel is looked up on `cogchess.board` at call time,
-# so whatever that module selects (or wraps) is the one used.
+# The search and the validation run on the raw kernel state that each
+# Board builds once, `Board._state` (squares, stm, castling, ep, halfmove,
+# fullmove), and on the kernel's (frm, to, promo, flags) move tuples; Move
+# objects are built only for the returned line. The kernel is looked up on
+# `cogchess.board` at call time, so whatever that module selects (or
+# wraps) is the one used.
 
 
 class _BudgetExhausted(Exception):
@@ -374,11 +375,6 @@ class InvestigationResult:
     line: Optional[list]  # Moves, mover and opponent interleaved
     nodes: int
     exhausted: bool
-
-
-def _state(board: Board) -> tuple:
-    return (board._squares, board._stm, board.castling.mask, board._ep,
-            board.halfmove_clock, board.fullmove_number)
 
 
 def _ordered(checks, moves) -> list:
@@ -502,7 +498,7 @@ def investigate(board: Board, situation: SituationModel, n: int,
         return pv
 
     try:
-        line = or_node(_state(board), n, True)
+        line = or_node(board._state, n, True)
     except _BudgetExhausted:
         return InvestigationResult(None, counter["nodes"], True)
     if line is not None:
@@ -533,20 +529,13 @@ def _proves(mg, state, movers_left: int, script=()) -> bool:
     return False
 
 
-def _prove_mate(board: Board, movers_left: int) -> bool:
-    """Full-width forced-mate proof, no budget, no situation pruning."""
-    return _proves(_board._mg, _state(board), movers_left)
-
-
-def _find(mg, state, m):
+def _find(state, m):
     """The legal move tuple of `state` that `m`, a Move or UCI text, names
     by its `(frm, to, promo)` key, or LineError."""
-    is_move = isinstance(m, Move)
-    key = _move_to_tuple(m) if is_move else _uci_key(str(m))
-    for t in mg.legal_moves(*state[:4]):
-        if t[:3] == key:
-            return t
-    raise LineError(f"illegal move {m.uci if is_move else str(m)!r} in line")
+    t = _legal_tuple(state, _move_to_tuple(m) if isinstance(m, Move) else _uci_key(str(m)))
+    if t is None:  # a Move's text is its UCI
+        raise LineError(f"illegal move {str(m)!r} in line")
+    return t
 
 
 def validate_line(board: Board, line, n: int) -> bool:
@@ -562,10 +551,10 @@ def validate_line(board: Board, line, n: int) -> bool:
     if not line or len(line) > 2 * n - 1:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
     mg = _board._mg
-    start = pos = _state(board)
+    start = pos = board._state
     script = []
     for m in line:
-        script.append(_find(mg, pos, m))
+        script.append(_find(pos, m))
         pos = _apply(mg, pos, script[-1])
     return _proves(mg, start, n, tuple(script))
 

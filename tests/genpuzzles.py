@@ -14,8 +14,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles
+from cogchess import board as _board
 from cogchess.board import GameStatus, parse_fen
-from cogchess.reasoner import _prove_mate
+from cogchess.reasoner import _proves
 
 TIME_LIMITS = {1: 120, 2: 120, 3: 180}
 
@@ -31,9 +32,9 @@ def _mate_exactly(board, n):
     """Package-side check: mate in n but not in n - 1."""
     if board.game_status() is not GameStatus.ONGOING:
         return False
-    if n > 1 and _prove_mate(board, n - 1):
+    if n > 1 and _proves(_board._mg, board._state, n - 1):
         return False
-    return _prove_mate(board, n)
+    return _proves(_board._mg, board._state, n)
 
 
 def back_rank_boards(rng):

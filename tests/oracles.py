@@ -53,8 +53,7 @@ from cogchess.board import (
 from cogchess.chunks import _SLIDERS, _instance
 from cogchess.reasoner import (
     ENTITY_CAP, MAX_CANDIDATES, POOL_RANK_LIMIT, InvestigationResult,
-    LineError, SituationModel, _apply, _BudgetExhausted, _state,
-    check_entity_cap,
+    LineError, SituationModel, _apply, _BudgetExhausted, check_entity_cap,
 )
 from cogchess.ingest import MARKER_KINDS, RecordingSession
 
@@ -705,7 +704,7 @@ def investigate_reference(board: Board, situation: SituationModel, n: int,
         return pv
 
     try:
-        line = or_node(_state(board), n, True)
+        line = or_node(board._state, n, True)
     except _BudgetExhausted:
         return InvestigationResult(None, counter["nodes"], True)
     if line is not None:
@@ -756,7 +755,7 @@ def validate_line_reference(board: Board, line, n: int) -> bool:
         raise ValueError(f"line length must be 1..{2 * n - 1}")
     ucis = [m.uci if isinstance(m, Move) else str(m) for m in line]
     mg = _board._mg
-    start = pos = _state(board)
+    start = pos = board._state
     for u in ucis:
         pos = _apply(mg, pos, _find_reference(mg, pos, u))
 

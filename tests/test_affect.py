@@ -283,6 +283,8 @@ def test_table_rejects_bad_version():
     (dict(TABLE, emotions={k: v for k, v in TABLE["emotions"].items()
                            if k != "fear"}),
      "mapping table emotions must map every emotion label"),
+    # a misspelled key would leave its set out: rejected by name
+    (dict(TABLE, arousel=[1]), "mapping table has unknown key 'arousel'"),
 ])
 def test_table_rejects_malformed_document(doc, message):
     with pytest.raises(ValueError) as e:

@@ -85,10 +85,14 @@ def test_parse_rejects_inconsistent_en_passant(fen):
     ("4k3/8/8/8/8/8/8/4K3 w - - 0 --1", "bad-clock"),
     ("4k3/44/8/8/8/8/8/4K3 w - - 0 1", "adjacent-runs"),
     ("4k3/1111p111/8/8/8/8/8/4K3 w - - 0 1", "adjacent-runs"),
+    ("r3k2r/8/8/8/8/8/8/R3K2R w KK - 0 1", "bad-castling"),
+    ("r3k2r/8/8/8/8/8/8/R3K2R w qK - 0 1", "bad-castling"),
+    ("r3k2r/8/8/8/8/8/8/R3K2R w KQkqK - 0 1", "bad-castling"),
 ])
 def test_parse_reads_ascii_numbers_only(fen, code):
     """Only ASCII `1`-`8` are empty-square runs, never two in a row, and
-    only ASCII piece letters are pieces; a clock is ASCII `-?[0-9]+`."""
+    only ASCII piece letters are pieces; a clock is ASCII `-?[0-9]+`, and
+    a castling field `-` or letters of `KQkq`, each once, in that order."""
     with pytest.raises(FenError) as e:
         parse_fen(fen)
     assert e.value.code == code
@@ -228,7 +232,7 @@ def test_apply_matches_the_rule_based_reference():
             moves = b.legal_moves()
             if not moves:
                 break
-            raw = _board._mg.legal_moves(b._squares, b._stm, b.castling.mask, b._ep)
+            raw = _board._mg.legal_moves(*b._state[:4])
             pos = oracles.from_board(b)
             by_uci = {oracles.move_uci(m): m for m in oracles.legal_moves(pos)}
             assert sorted(by_uci) == sorted(m.uci for m in moves), emit_fen(b)
@@ -264,7 +268,7 @@ def test_piece_index_matches_the_pieces():
             if not moves:
                 break
             boards.append(b)
-            raw = _board._mg.legal_moves(b._squares, b._stm, b.castling.mask, b._ep)
+            raw = _board._mg.legal_moves(*b._state[:4])
             for m, t in zip(moves, raw):
                 boards.append(b.apply_move(m))
                 flags.add(t[3] & (FLAG_CASTLE_K | FLAG_CASTLE_Q | FLAG_EP))

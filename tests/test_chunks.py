@@ -86,10 +86,14 @@ def test_catalog_rejects_out_of_range_min_pieces(min_pieces):
     assert (e.value.pattern, e.value.field) == ("fianchetto", "min_pieces")
 
 
-def test_catalog_accepts_min_pieces_in_range():
+def test_catalog_rejects_min_pieces_in_range():
+    """A match fills every slot, so no `min_pieces` could change one: the
+    key is unknown, whatever its value."""
     doc = json.loads(json.dumps(FIANCHETTO))
     doc["patterns"][0]["min_pieces"] = 2
-    assert load_catalog(doc)[-1].name == "fianchetto"
+    with pytest.raises(CatalogError) as e:
+        load_catalog(doc)
+    assert str(e.value) == "pattern 'fianchetto', field 'min_pieces': unknown key"
 
 
 @pytest.mark.parametrize("patterns, where", [

@@ -5,7 +5,9 @@ silently replaces the first: a test defined twice runs only its last
 copy, and a function defined twice keeps only its last body. A
 module-level import in the package whose name the module never reads is
 dead code, and often the trace of a deleted use; an import kept for
-others to find (a re-export) is marked `# noqa: F401`.
+others to find (a re-export) is marked `# noqa: F401`. A board's kernel
+state is built in one place, `Board.__post_init__`: no other package
+module reads the fields it is built from.
 """
 
 import ast
@@ -77,3 +79,32 @@ def test_unused_import_is_caught():
               "try:\n    from math import pi, tau\nexcept ImportError:\n    pass\n"
               "def f():\n    import sys\n    return tau\n")
     assert unused_imports(source) == ["os", "regex", "pi"]
+
+
+def kernel_state_reads(source: str) -> list:
+    """`(line, name)` for each read of a board's `_stm`, `_ep` or
+    `castling.mask` in `source`: the fields `Board._state` is built from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr in ("_stm", "_ep"):
+            found.append((node.lineno, node.attr))
+        elif node.attr == "mask" and "castling" in (
+                getattr(node.value, "attr", None), getattr(node.value, "id", None)):
+            found.append((node.lineno, "castling.mask"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "board.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_board_reads_the_kernel_fields(path):
+    assert kernel_state_reads(path.read_text()) == []
+
+
+def test_kernel_field_read_is_caught():
+    source = ("def f(b, castling, mask):\n"
+              "    return (b._squares, b._stm, b.castling.mask, b._ep,\n"
+              "            b._state, castling.mask, mask, b.mask)\n")
+    assert kernel_state_reads(source) == [
+        (2, "_ep"), (2, "_stm"), (2, "castling.mask"), (3, "castling.mask")]

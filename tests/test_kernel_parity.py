@@ -57,7 +57,7 @@ def kernel(request):
 
 
 def _state(board):
-    return (board._squares, board._stm, board.castling.mask, board._ep)
+    return board._state[:4]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -244,10 +244,6 @@ CHECKS = {
 }
 
 
-def _full_state(board):
-    return _state(board) + (board.halfmove_clock, board.fullmove_number)
-
-
 @pytest.fixture(scope="module")
 def check_test_states():
     """The 1000 playout positions, and the desk-40 and motif-72 boards with
@@ -261,7 +257,7 @@ def check_test_states():
         b = parse_fen(fen)
         boards.append(b)
         boards.extend(b.apply_move(m) for m in b.legal_moves())
-    return [_full_state(b) for b in boards]
+    return [b._state for b in boards]
 
 
 def test_checking_moves_match_make_and_test(kernel, check_test_states):
@@ -277,7 +273,7 @@ def test_checking_moves_match_make_and_test(kernel, check_test_states):
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_checking_moves_on_hand_made_boards(kernel, name):
     fen, ucis = CHECKS[name]
-    st = _full_state(parse_fen(fen))
+    st = parse_fen(fen)._state
     moves = pure.legal_moves(*st[:4])
     got = kernel.checking_moves(*st[:4], moves)
     assert got == oracles.checking_moves_reference(pure, st, moves)
@@ -287,7 +283,7 @@ def test_checking_moves_on_hand_made_boards(kernel, name):
 def test_checking_moves_without_an_enemy_king(kernel):
     """A board with no enemy king gives no check, as `in_check` says."""
     for fen in ("4k3/8/8/8/8/8/3Q4/K7 w - - 0 1", "4k3/3q4/8/8/8/8/8/K7 b - - 0 1"):
-        st = _full_state(parse_fen(fen))
+        st = parse_fen(fen)._state
         moves = pure.legal_moves(*st[:4])
         assert kernel.checking_moves(*st[:4], moves)
         enemy = pure.WK if st[1] else pure.BK
@@ -337,7 +333,7 @@ TRIAL_MOVE_BOARDS = {
 def _calls(entry, board):
     """The arguments after the squares for each call of `entry` on
     `board`."""
-    stm, castling, ep = board._stm, board.castling.mask, board._ep
+    stm, castling, ep = board._state[1:4]
     white = stm == 0
     moves = pure.legal_moves(board._squares, stm, castling, ep)
     if entry == "attackers":

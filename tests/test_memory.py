@@ -263,6 +263,12 @@ def test_persistence_rejects_bad_version():
     ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
         "valence": "0", "arousal": 0.0, "dominance": 0.0, "visits": 0}}},
      "malformed long-term memory: 'valence' must be a number, got '0'"),
+    # a misspelled key would be dropped, and its field read from elsewhere
+    ({"ltm_version": 1, "alpha": 0.3, "alfa": 0.9, "k": 5, "entries": {}},
+     "malformed long-term memory: unknown key 'alfa'"),
+    ({"ltm_version": 1, "alpha": 0.3, "k": 5, "entries": {"s": {
+        "valence": 0.0, "arousal": 0.0, "dominance": 0.0, "visits": 0, "visit": 1}}},
+     "malformed long-term memory: unknown key 'visit'"),
 ])
 def test_persistence_rejects_malformed_document(doc, message):
     with pytest.raises(ValueError) as e:

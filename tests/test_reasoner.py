@@ -312,7 +312,7 @@ def test_last_mover_ply_makes_only_the_checking_moves():
     proxy.apply_move = lambda *a: made.append(a[6:]) or kernel.apply_move(*a)
     moves = children = 0
     for rec in DESK:
-        state = reasoner._state(parse_fen(rec["fen"]))
+        state = parse_fen(rec["fen"])._state
         legal = kernel.legal_moves(*state[:4])
         made.clear()
         list(reasoner._mover_moves(proxy, state, legal, 1))
@@ -406,7 +406,7 @@ def test_validation_and_proof_match_reference():
             assert _result_or_error(validate_line, b, variant, n) == _result_or_error(
                 oracles.validate_line_reference, b, variant, n), (rec["id"], variant)
         for m in b.legal_moves():
-            child = reasoner._state(b.apply_move(m))
+            child = b.apply_move(m)._state
             replies = mg.legal_moves(*child[:4])
             for k in range(1, n):
                 if all(_proves_as_reference(mg, reasoner._apply(mg, child, r), k,
